@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // Message type codes (RFC 4271 §4.1).
@@ -285,38 +286,82 @@ func marshalPrefixes(prefixes []Prefix) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// parsePrefixes decodes an NLRI-format prefix list. A first pass over the
-// length bytes counts the entries so the result is allocated once at exact
-// size — prefix lists dominate table-transfer parsing, and append-growing
-// a slice of 4096-byte messages' worth of prefixes resized several times
-// per message.
-func parsePrefixes(data []byte) ([]Prefix, error) {
+// countPrefixes validates an NLRI-format prefix list and counts its
+// entries, so that decoders can allocate their output once at exact size —
+// prefix lists dominate table-transfer parsing, and append-growing a slice
+// of 4096-byte messages' worth of prefixes resized several times per
+// message.
+func countPrefixes(data []byte) (int, error) {
 	count := 0
 	for rest := data; len(rest) > 0; count++ {
 		bits := int(rest[0])
 		if bits > 32 {
-			return nil, fmt.Errorf("%w: prefix length %d", ErrBadMessage, bits)
+			return 0, fmt.Errorf("%w: prefix length %d", ErrBadMessage, bits)
 		}
 		nbytes := (bits + 7) / 8
 		if len(rest) < 1+nbytes {
-			return nil, fmt.Errorf("%w: prefix bytes", ErrTruncated)
+			return 0, fmt.Errorf("%w: prefix bytes", ErrTruncated)
 		}
 		rest = rest[1+nbytes:]
 	}
-	if count == 0 {
-		return nil, nil
+	return count, nil
+}
+
+// nextPrefix decodes the first entry of a prefix list that countPrefixes
+// accepted: its masked address (big-endian), its length, and the rest of
+// the list.
+func nextPrefix(data []byte) (addr uint32, bits int, rest []byte) {
+	bits = int(data[0])
+	nbytes := (bits + 7) / 8
+	if len(data) >= 5 {
+		// Read a whole word: the mask below clears whatever follows the
+		// entry's own address bytes.
+		addr = binary.BigEndian.Uint32(data[1:5])
+	} else {
+		var a [4]byte
+		copy(a[:], data[1:1+nbytes])
+		addr = binary.BigEndian.Uint32(a[:])
 	}
-	out := make([]Prefix, 0, count)
+	// A shift by 32 yields 0 in Go, so /0 masks everything away.
+	return addr & (^uint32(0) << (32 - bits)), bits, data[1+nbytes:]
+}
+
+// decodePrefixes decodes a validated prefix list of n entries.
+func decodePrefixes(data []byte, n int) []Prefix {
+	if n == 0 {
+		return nil
+	}
+	out := make([]Prefix, 0, n)
 	for len(data) > 0 {
-		bits := int(data[0])
-		nbytes := (bits + 7) / 8
-		var addr [4]byte
-		copy(addr[:], data[1:1+nbytes])
-		p := netip.PrefixFrom(netip.AddrFrom4(addr), bits)
-		out = append(out, p.Masked())
-		data = data[1+nbytes:]
+		addr, bits, rest := nextPrefix(data)
+		var a [4]byte
+		binary.BigEndian.PutUint32(a[:], addr)
+		out = append(out, netip.PrefixFrom(netip.AddrFrom4(a), bits))
+		data = rest
 	}
-	return out, nil
+	return out
+}
+
+// PrefixKey packs an IPv4 prefix into one word: its length in the high 32
+// bits and its big-endian address in the low 32. Distinct prefixes get
+// distinct keys, and a uint64 hashes several times faster than the 24-byte
+// netip.Prefix, so prefix sets key on it. ScanStream emits the keys of
+// masked prefixes, as Parse decodes them.
+func PrefixKey(p Prefix) uint64 {
+	a := p.Addr().As4()
+	return uint64(uint32(p.Bits()))<<32 | uint64(binary.BigEndian.Uint32(a[:]))
+}
+
+// appendPrefixKeys appends the PrefixKey of every entry of a validated
+// prefix list of n entries.
+func appendPrefixKeys(keys []uint64, data []byte, n int) []uint64 {
+	keys = slices.Grow(keys, n)
+	for len(data) > 0 {
+		addr, bits, rest := nextPrefix(data)
+		keys = append(keys, uint64(uint32(bits))<<32|uint64(addr))
+		data = rest
+	}
+	return keys
 }
 
 // PrefixWireLen returns the NLRI encoding size of one prefix.
@@ -325,62 +370,119 @@ func PrefixWireLen(p Prefix) int { return 1 + (p.Bits()+7)/8 }
 // Parse decodes one message from data, which must contain exactly one whole
 // message (as produced by SplitStream or read from MRT).
 func Parse(data []byte) (Message, error) {
-	if len(data) < HeaderLen {
-		return nil, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(data))
+	typ, body, err := checkMessage(data)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < markerLen; i++ {
-		if data[i] != 0xFF {
-			return nil, ErrBadMarker
+	switch typ {
+	case TypeOpen:
+		return &Open{
+			Version:    body[0],
+			AS:         binary.BigEndian.Uint16(body[1:3]),
+			HoldTime:   binary.BigEndian.Uint16(body[3:5]),
+			Identifier: netip.AddrFrom4([4]byte(body[5:9])),
+		}, nil
+	case TypeUpdate:
+		u, err := parseUpdate(body)
+		if err != nil {
+			return nil, err
 		}
+		return u, nil
+	case TypeNotification:
+		return &Notification{Code: body[0], Subcode: body[1], Data: append([]byte(nil), body[2:]...)}, nil
+	default:
+		return &Keepalive{}, nil
+	}
+}
+
+// checkMessage validates one whole message — header, and the body of every
+// type but UPDATE, whose sections checkUpdate walks — and returns its type
+// and body. Parse and ScanStream both validate through it, so they accept
+// and reject exactly the same bytes with the same errors.
+func checkMessage(data []byte) (typ uint8, body []byte, err error) {
+	if len(data) < HeaderLen {
+		return 0, nil, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(data))
+	}
+	// The marker is 16 bytes of 0xFF: compare it as two words.
+	if binary.LittleEndian.Uint64(data[0:8])&binary.LittleEndian.Uint64(data[8:16]) != ^uint64(0) {
+		return 0, nil, ErrBadMarker
 	}
 	length := int(binary.BigEndian.Uint16(data[16:18]))
 	if length < HeaderLen || length > MaxMessageLen {
-		return nil, fmt.Errorf("%w: %d", ErrBadLength, length)
+		return 0, nil, fmt.Errorf("%w: %d", ErrBadLength, length)
 	}
 	if length != len(data) {
-		return nil, fmt.Errorf("%w: declared %d, have %d", ErrBadLength, length, len(data))
+		return 0, nil, fmt.Errorf("%w: declared %d, have %d", ErrBadLength, length, len(data))
 	}
-	body := data[HeaderLen:]
-	switch data[18] {
+	typ, body = data[18], data[HeaderLen:]
+	switch typ {
 	case TypeOpen:
-		return parseOpen(body)
+		if len(body) < 10 {
+			return 0, nil, fmt.Errorf("%w: OPEN body %d bytes", ErrTruncated, len(body))
+		}
 	case TypeUpdate:
-		return parseUpdate(body)
 	case TypeNotification:
 		if len(body) < 2 {
-			return nil, fmt.Errorf("%w: notification body", ErrTruncated)
+			return 0, nil, fmt.Errorf("%w: notification body", ErrTruncated)
 		}
-		return &Notification{Code: body[0], Subcode: body[1], Data: append([]byte(nil), body[2:]...)}, nil
 	case TypeKeepalive:
 		if len(body) != 0 {
-			return nil, fmt.Errorf("%w: keepalive with body", ErrBadMessage)
+			return 0, nil, fmt.Errorf("%w: keepalive with body", ErrBadMessage)
 		}
-		return &Keepalive{}, nil
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadType, data[18])
+		return 0, nil, fmt.Errorf("%w: %d", ErrBadType, typ)
 	}
+	return typ, body, nil
 }
 
-func parseOpen(body []byte) (*Open, error) {
-	if len(body) < 10 {
-		return nil, fmt.Errorf("%w: OPEN body %d bytes", ErrTruncated, len(body))
-	}
-	return &Open{
-		Version:    body[0],
-		AS:         binary.BigEndian.Uint16(body[1:3]),
-		HoldTime:   binary.BigEndian.Uint16(body[3:5]),
-		Identifier: netip.AddrFrom4([4]byte(body[5:9])),
-	}, nil
+// updateSections is a validated UPDATE body: its withdrawn-routes and NLRI
+// prefix lists with their entry counts, and whether it carried path
+// attributes.
+type updateSections struct {
+	withdrawn, nlri   []byte
+	nWithdrawn, nNLRI int
+	hasAttrs          bool
 }
 
-func parseUpdate(body []byte) (*Update, error) {
+// checkUpdate validates an UPDATE body into s, in the order the fields
+// appear, so the first error is the same whichever path asks. The path
+// attributes are decoded into a when it is non-nil and only validated
+// otherwise.
+func checkUpdate(body []byte, a *PathAttrs, s *updateSections) error {
 	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: UPDATE body %d bytes", ErrTruncated, len(body))
+		return fmt.Errorf("%w: UPDATE body %d bytes", ErrTruncated, len(body))
 	}
 	wdLen := int(binary.BigEndian.Uint16(body[0:2]))
 	if 2+wdLen+2 > len(body) {
-		return nil, fmt.Errorf("%w: withdrawn length %d", ErrBadLength, wdLen)
+		return fmt.Errorf("%w: withdrawn length %d", ErrBadLength, wdLen)
 	}
+	var err error
+	s.withdrawn = body[2 : 2+wdLen]
+	if s.nWithdrawn, err = countPrefixes(s.withdrawn); err != nil {
+		return err
+	}
+	rest := body[2+wdLen:]
+	attrLen := int(binary.BigEndian.Uint16(rest[0:2]))
+	if 2+attrLen > len(rest) {
+		return fmt.Errorf("%w: attribute length %d", ErrBadLength, attrLen)
+	}
+	s.hasAttrs = attrLen > 0
+	if s.hasAttrs {
+		if err = parseAttrs(rest[2:2+attrLen], a); err != nil {
+			return err
+		}
+	}
+	s.nlri = rest[2+attrLen:]
+	if s.nNLRI, err = countPrefixes(s.nlri); err != nil {
+		return err
+	}
+	if s.nNLRI > 0 && !s.hasAttrs {
+		return fmt.Errorf("%w: NLRI without path attributes", ErrBadMessage)
+	}
+	return nil
+}
+
+func parseUpdate(body []byte) (*Update, error) {
 	// Allocate the Update and its PathAttrs as one block: a table transfer
 	// parses millions of updates, the pair always lives and dies together,
 	// and the second heap object was ~20% of the pipeline's allocations.
@@ -388,33 +490,21 @@ func parseUpdate(body []byte) (*Update, error) {
 		u Update
 		a PathAttrs
 	}{}
-	u := &box.u
-	var err error
-	u.Withdrawn, err = parsePrefixes(body[2 : 2+wdLen])
-	if err != nil {
+	var s updateSections
+	if err := checkUpdate(body, &box.a, &s); err != nil {
 		return nil, err
 	}
-	rest := body[2+wdLen:]
-	attrLen := int(binary.BigEndian.Uint16(rest[0:2]))
-	if 2+attrLen > len(rest) {
-		return nil, fmt.Errorf("%w: attribute length %d", ErrBadLength, attrLen)
-	}
-	if attrLen > 0 {
-		if err := parseAttrs(rest[2:2+attrLen], &box.a); err != nil {
-			return nil, err
-		}
+	u := &box.u
+	u.Withdrawn = decodePrefixes(s.withdrawn, s.nWithdrawn)
+	if s.hasAttrs {
 		u.Attrs = &box.a
 	}
-	u.NLRI, err = parsePrefixes(rest[2+attrLen:])
-	if err != nil {
-		return nil, err
-	}
-	if len(u.NLRI) > 0 && u.Attrs == nil {
-		return nil, fmt.Errorf("%w: NLRI without path attributes", ErrBadMessage)
-	}
+	u.NLRI = decodePrefixes(s.nlri, s.nNLRI)
 	return u, nil
 }
 
+// parseAttrs validates a path-attribute block, decoding it into a when a is
+// non-nil.
 func parseAttrs(data []byte, a *PathAttrs) error {
 	for len(data) > 0 {
 		if len(data) < 3 {
@@ -434,12 +524,15 @@ func parseAttrs(data []byte, a *PathAttrs) error {
 			return fmt.Errorf("%w: attribute value (%d declared)", ErrTruncated, alen)
 		}
 		val := data[hdr : hdr+alen]
+		data = data[hdr+alen:]
 		switch typ {
 		case AttrOrigin:
 			if alen != 1 {
 				return fmt.Errorf("%w: ORIGIN length %d", ErrBadLength, alen)
 			}
-			a.Origin = val[0]
+			if a != nil {
+				a.Origin = val[0]
+			}
 		case AttrASPath:
 			// Validate and count in one pass, then fill at exact size:
 			// append-growing a 3–6 hop path from nil costs several small
@@ -459,6 +552,9 @@ func parseAttrs(data []byte, a *PathAttrs) error {
 				count += n
 				v = v[2+2*n:]
 			}
+			if a == nil {
+				continue
+			}
 			if a.ASPath == nil && count > 0 {
 				a.ASPath = make([]uint16, 0, count)
 			}
@@ -473,23 +569,45 @@ func parseAttrs(data []byte, a *PathAttrs) error {
 			if alen != 4 {
 				return fmt.Errorf("%w: NEXT_HOP length %d", ErrBadLength, alen)
 			}
-			a.NextHop = netip.AddrFrom4([4]byte(val))
+			if a != nil {
+				a.NextHop = netip.AddrFrom4([4]byte(val))
+			}
 		case AttrMED:
 			if alen != 4 {
 				return fmt.Errorf("%w: MED length %d", ErrBadLength, alen)
 			}
-			a.MED, a.HasMED = binary.BigEndian.Uint32(val), true
+			if a != nil {
+				a.MED, a.HasMED = binary.BigEndian.Uint32(val), true
+			}
 		case AttrLocalPref:
 			if alen != 4 {
 				return fmt.Errorf("%w: LOCAL_PREF length %d", ErrBadLength, alen)
 			}
-			a.LocalPref, a.HasLocal = binary.BigEndian.Uint32(val), true
+			if a != nil {
+				a.LocalPref, a.HasLocal = binary.BigEndian.Uint32(val), true
+			}
 		default:
 			// Unknown attributes are skipped (optional transitive pass-through).
 		}
-		data = data[hdr+alen:]
 	}
 	return nil
+}
+
+// frameLen returns the length of the whole message at the start of data,
+// or 0 when only part of one is there. A length field outside the
+// protocol's bounds is a framing error.
+func frameLen(data []byte) (int, error) {
+	if len(data) < HeaderLen {
+		return 0, nil
+	}
+	length := int(binary.BigEndian.Uint16(data[16:18]))
+	if length < HeaderLen || length > MaxMessageLen {
+		return 0, fmt.Errorf("%w: %d", ErrBadLength, length)
+	}
+	if len(data) < length {
+		return 0, nil
+	}
+	return length, nil
 }
 
 // SplitStream splits a byte stream into whole BGP messages. It returns the
@@ -501,34 +619,61 @@ func SplitStream(data []byte) (msgs []Message, consumed int, err error) {
 	// walk stops where parsing would (short header, bad length, partial
 	// trailing message), so the count is never an underestimate.
 	count := 0
-	for off := 0; len(data)-off >= HeaderLen; count++ {
-		length := int(binary.BigEndian.Uint16(data[off+16 : off+18]))
-		if length < HeaderLen || length > MaxMessageLen || len(data)-off < length {
+	for off := 0; ; count++ {
+		n, err := frameLen(data[off:])
+		if n == 0 || err != nil {
 			break
 		}
-		off += length
+		off += n
 	}
 	if count > 0 {
 		msgs = make([]Message, 0, count)
 	}
 	for {
-		if len(data)-consumed < HeaderLen {
-			return msgs, consumed, nil
+		n, err := frameLen(data[consumed:])
+		if n == 0 || err != nil {
+			return msgs, consumed, err
 		}
-		hdr := data[consumed:]
-		length := int(binary.BigEndian.Uint16(hdr[16:18]))
-		if length < HeaderLen || length > MaxMessageLen {
-			return msgs, consumed, fmt.Errorf("%w: %d", ErrBadLength, length)
-		}
-		if len(data)-consumed < length {
-			return msgs, consumed, nil
-		}
-		m, err := Parse(data[consumed : consumed+length])
+		m, err := Parse(data[consumed : consumed+n])
 		if err != nil {
 			return msgs, consumed, err
 		}
 		msgs = append(msgs, m)
-		consumed += length
+		consumed += n
+	}
+}
+
+// ScanStream is SplitStream for callers that need only the announced
+// prefixes, such as MCT's transfer-end estimate. It frames data the same
+// way and validates every whole message with Parse's rules, so on any input
+// it stops at the same place with the same error and counts the same
+// messages — but it builds no Message. Instead it appends each UPDATE's
+// NLRI to keys as PrefixKeys of the masked prefixes, and for each UPDATE
+// that announced any it calls update with the stream offset just past the
+// message and the new length of keys. The path attributes are validated and
+// skipped.
+func ScanStream(data []byte, keys []uint64, update func(end, nkeys int)) (_ []uint64, msgs, consumed int, err error) {
+	for {
+		n, err := frameLen(data[consumed:])
+		if n == 0 || err != nil {
+			return keys, msgs, consumed, err
+		}
+		typ, body, err := checkMessage(data[consumed : consumed+n])
+		if err != nil {
+			return keys, msgs, consumed, err
+		}
+		if typ == TypeUpdate {
+			var s updateSections
+			if err := checkUpdate(body, nil, &s); err != nil {
+				return keys, msgs, consumed, err
+			}
+			if s.nNLRI > 0 {
+				keys = appendPrefixKeys(keys, s.nlri, s.nNLRI)
+				update(consumed+n, len(keys))
+			}
+		}
+		msgs++
+		consumed += n
 	}
 }
 

@@ -493,3 +493,40 @@ func TestPackWithdrawals(t *testing.T) {
 		t.Errorf("IPv6 err = %v", err)
 	}
 }
+
+// TestScanStreamAllocs checks that scanning a stream of full 4096-byte
+// UPDATEs into a warmed key buffer allocates nothing: the transfer-end
+// path reuses one buffer across connections.
+func TestScanStreamAllocs(t *testing.T) {
+	routes := make([]Route, 20_000)
+	for i := range routes {
+		routes[i] = Route{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24), Attrs: sampleAttrs()}
+	}
+	updates, err := PackTable(routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream []byte
+	for _, u := range updates[:len(updates)-1] { // the last one is partly filled
+		wire, err := u.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wire) < MaxMessageLen-3 {
+			t.Fatalf("update of %d bytes, want a full message", len(wire))
+		}
+		stream = append(stream, wire...)
+	}
+	var keys []uint64
+	scan := func() {
+		var n, consumed int
+		keys, n, consumed, err = ScanStream(stream, keys[:0], func(int, int) {})
+		if err != nil || n != len(updates)-1 || consumed != len(stream) {
+			t.Fatalf("scan: %d messages, %d of %d bytes, err %v", n, consumed, len(stream), err)
+		}
+	}
+	scan() // warm the key buffer
+	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
+		t.Errorf("ScanStream allocates %.1f times per stream, want 0", allocs)
+	}
+}

@@ -1,33 +1,102 @@
 package bgp
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"net/netip"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+
+	"tdat/internal/packet"
+	"tdat/internal/pcapio"
 )
 
-// TestParseNeverPanics mutates valid messages and feeds noise: malformed
-// BGP bytes in a reassembled stream must error, never crash.
-func TestParseNeverPanics(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	attrs := &PathAttrs{
-		Origin:    OriginIGP,
-		ASPath:    []uint16{7018, 3356},
-		NextHop:   netip.MustParseAddr("10.0.0.1"),
-		HasMED:    true,
-		MED:       5,
-		HasLocal:  true,
-		LocalPref: 100,
-	}
+// goodUpdate is a valid UPDATE exercising every section: a withdrawal,
+// every modeled attribute, and two announcements.
+func goodUpdate(tb testing.TB) []byte {
+	tb.Helper()
 	u := &Update{
 		Withdrawn: []Prefix{mustPrefix("192.0.2.0/24")},
-		Attrs:     attrs,
-		NLRI:      []Prefix{mustPrefix("10.0.0.0/8"), mustPrefix("172.16.0.0/12")},
+		Attrs: &PathAttrs{
+			Origin:    OriginIGP,
+			ASPath:    []uint16{7018, 3356},
+			NextHop:   netip.MustParseAddr("10.0.0.1"),
+			HasMED:    true,
+			MED:       5,
+			HasLocal:  true,
+			LocalPref: 100,
+		},
+		NLRI: []Prefix{mustPrefix("10.0.0.0/8"), mustPrefix("172.16.0.0/12")},
 	}
 	good, err := u.Marshal()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return good
+}
+
+// parseSeeds are FuzzParse's seeds: a valid message, its bare header, the
+// empty input, and two messages back to back.
+func parseSeeds(tb testing.TB) [][]byte {
+	good := goodUpdate(tb)
+	return [][]byte{good, good[:19], {}, append(append([]byte(nil), good...), good...)}
+}
+
+// checkScanEquiv holds ScanStream to SplitStream+Parse on one input: the
+// same message count, consumed offset and error, and exactly the keys of
+// the parsed UPDATEs' NLRI, reported at the offsets where those UPDATEs
+// end.
+func checkScanEquiv(tb testing.TB, data []byte) {
+	tb.Helper()
+	msgs, consumed, err := SplitStream(data)
+	var ends, counts []int
+	keys, n, scanConsumed, scanErr := ScanStream(data, nil, func(end, nkeys int) {
+		ends = append(ends, end)
+		counts = append(counts, nkeys)
+	})
+	if n != len(msgs) || scanConsumed != consumed {
+		tb.Fatalf("scan: %d messages, %d consumed; split: %d, %d", n, scanConsumed, len(msgs), consumed)
+	}
+	if (err == nil) != (scanErr == nil) || err != nil && err.Error() != scanErr.Error() {
+		tb.Fatalf("scan error %v, split error %v", scanErr, err)
+	}
+	for _, sentinel := range []error{ErrTruncated, ErrBadMarker, ErrBadLength, ErrBadType, ErrBadMessage} {
+		if errors.Is(err, sentinel) != errors.Is(scanErr, sentinel) {
+			tb.Fatalf("errors.Is(%v): scan %v, split %v", sentinel, errors.Is(scanErr, sentinel), errors.Is(err, sentinel))
+		}
+	}
+	var want []uint64
+	var wantEnds, wantCounts []int
+	off := 0
+	for _, m := range msgs {
+		off += int(binary.BigEndian.Uint16(data[off+16 : off+18]))
+		if u, ok := m.(*Update); ok && len(u.NLRI) > 0 {
+			for _, p := range u.NLRI {
+				want = append(want, PrefixKey(p))
+			}
+			wantEnds, wantCounts = append(wantEnds, off), append(wantCounts, len(want))
+		}
+	}
+	if !slices.Equal(keys, want) {
+		tb.Fatalf("scan keys %x, parsed NLRI keys %x", keys, want)
+	}
+	if !slices.Equal(ends, wantEnds) || !slices.Equal(counts, wantCounts) {
+		tb.Fatalf("scan reported updates at %v (key counts %v), want %v (%v)", ends, counts, wantEnds, wantCounts)
+	}
+}
+
+// TestParseNeverPanics mutates valid messages and feeds noise: malformed
+// BGP bytes in a reassembled stream must error, never crash — and the
+// prefix scan must reach the same verdict as the parser.
+func TestParseNeverPanics(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	good := goodUpdate(t)
 	for i := 0; i < 5000; i++ {
 		var data []byte
 		switch i % 3 {
@@ -43,7 +112,7 @@ func TestParseNeverPanics(t *testing.T) {
 			data = good[:rnd.Intn(len(good))]
 		}
 		_, _ = Parse(data)
-		_, _, _ = SplitStream(data)
+		checkScanEquiv(t, data)
 	}
 }
 
@@ -54,28 +123,9 @@ func TestParseNeverPanics(t *testing.T) {
 //
 //	go test -run='^$' -fuzz=FuzzParse -fuzztime=30s ./internal/bgp
 func FuzzParse(f *testing.F) {
-	attrs := &PathAttrs{
-		Origin:    OriginIGP,
-		ASPath:    []uint16{7018, 3356},
-		NextHop:   netip.MustParseAddr("10.0.0.1"),
-		HasMED:    true,
-		MED:       5,
-		HasLocal:  true,
-		LocalPref: 100,
+	for _, seed := range parseSeeds(f) {
+		f.Add(seed)
 	}
-	u := &Update{
-		Withdrawn: []Prefix{mustPrefix("192.0.2.0/24")},
-		Attrs:     attrs,
-		NLRI:      []Prefix{mustPrefix("10.0.0.0/8"), mustPrefix("172.16.0.0/12")},
-	}
-	good, err := u.Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
-	f.Add(good[:19])
-	f.Add([]byte{})
-	f.Add(append(append([]byte(nil), good...), good...)) // two messages back to back
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Parse(data)
 		if err == nil && m != nil {
@@ -87,4 +137,80 @@ func FuzzParse(f *testing.F) {
 		}
 		_, _, _ = SplitStream(data)
 	})
+}
+
+// FuzzScanEquiv is the differential target for the prefix scan: on any
+// byte string ScanStream must agree with SplitStream+Parse (see
+// checkScanEquiv). It starts from FuzzParse's seeds, its committed corpus,
+// and the BGP streams of the adversarial captures. CI runs it for a short
+// smoke window; run locally with
+//
+//	go test -run='^$' -fuzz=FuzzScanEquiv -fuzztime=30s ./internal/bgp
+func FuzzScanEquiv(f *testing.F) {
+	for _, seed := range parseSeeds(f) {
+		f.Add(seed)
+	}
+	for _, seed := range committedSeeds(f, "FuzzParse") {
+		f.Add(seed)
+	}
+	for _, stream := range corpusStreams(f) {
+		f.Add(stream)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkScanEquiv(t, data)
+	})
+}
+
+// committedSeeds reads the byte-string inputs of a fuzz target's committed
+// corpus (testdata/fuzz/<target>, "go test fuzz v1" files).
+func committedSeeds(tb testing.TB, target string) [][]byte {
+	tb.Helper()
+	names, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for _, name := range names {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		arg := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+		data, err := strconv.Unquote(arg)
+		if err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, []byte(data))
+	}
+	return out
+}
+
+// corpusStreams returns, for each committed adversarial capture, the
+// payloads its BGP speaker (TCP port 179) sent, concatenated in capture
+// order: real table-transfer bytes, damage included.
+func corpusStreams(tb testing.TB) [][]byte {
+	tb.Helper()
+	names, err := filepath.Glob(filepath.Join("..", "pcapio", "testdata", "adversarial", "*.pcap"))
+	if err != nil || len(names) == 0 {
+		tb.Fatalf("adversarial corpus: %v (%d files)", err, len(names))
+	}
+	var out [][]byte
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		recs, _ := pcapio.ReadAll(bytes.NewReader(data)) // damaged files still yield their leading records
+		var stream []byte
+		for _, r := range recs {
+			if p, err := packet.Decode(r.Data); err == nil && p.TCP.SrcPort == 179 {
+				stream = append(stream, p.Payload...)
+			}
+		}
+		if len(stream) > 0 {
+			out = append(out, stream)
+		}
+	}
+	return out
 }

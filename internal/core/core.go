@@ -7,8 +7,8 @@ package core
 import (
 	"fmt"
 	"io"
+	"sync"
 
-	"tdat/internal/bgp"
 	"tdat/internal/detect"
 	"tdat/internal/explain"
 	"tdat/internal/factors"
@@ -346,35 +346,32 @@ func (a *Analyzer) AnalyzeConnectionWithUpdates(c *flows.Connection, updates []m
 	return tr
 }
 
+// keyStreams recycles reassembleEnd's key buffers across connections. The
+// buffers never outlive the call: the report keeps only the mct.Result
+// values computed from them.
+var keyStreams = sync.Pool{New: func() any { return new(mct.KeyStream) }}
+
 // reassembleEnd recovers the BGP stream and estimates the transfer end,
 // noting reassembly concessions (framing failure, byte-cap truncation) on
-// the report.
+// the report. The stream is validated as strictly as bgp.Parse would, but
+// only the announced prefixes are extracted: MCT needs nothing else.
 func (a *Analyzer) reassembleEnd(c *flows.Connection, tr *TransferReport) (mct.Result, bool) {
-	// KeepRaw off: MCT only reads the parsed messages, so the per-message
-	// wire-byte copies are skipped.
-	res, err := reassembly.ReassembleOpts(c, reassembly.Options{MaxBytes: a.cfg.MaxReassemblyBytes})
-	if err != nil && (res.LooksLikeBGP || len(res.Messages) > 0) {
+	ks := keyStreams.Get().(*mct.KeyStream)
+	defer keyStreams.Put(ks)
+	ks.Reset()
+	res, msgs, err := reassembly.ScanKeys(c, a.cfg.MaxReassemblyBytes, ks)
+	if err != nil && res.LooksLikeBGP {
 		// Only a stream that demonstrably carried BGP counts as damaged; a
 		// payload of some other protocol is a supported input (Messages
 		// stays 0 and the transfer end falls back), not a concession.
 		tr.ReassemblyError = err.Error()
 	}
 	tr.ReassemblyTruncated = res.TruncatedBytes
-	if err != nil || len(res.Messages) == 0 {
+	if err != nil {
 		return mct.Result{}, false
 	}
-	tr.Messages = len(res.Messages)
-	times := make([]Micros, len(res.Messages))
-	msgs := make([]bgp.Message, len(res.Messages))
-	for i, m := range res.Messages {
-		times[i] = m.Time
-		msgs[i] = m.Msg
-	}
-	ups := mct.FromMessages(times, msgs)
-	if len(ups) == 0 {
-		return mct.Result{}, false
-	}
-	return mct.FindEnd(ups, a.cfg.MCT)
+	tr.Messages = msgs
+	return mct.FindEndKeys(ks, a.cfg.MCT)
 }
 
 // decodeRecord converts one pcap record to a timed packet.

@@ -10,7 +10,7 @@ func init() {
 	Register(&Analyzer{
 		Name: "poolleak",
 		Doc: "checks that every sync.Pool.Get result (including leases from functions " +
-			"summarized as returning pooled values, like reassembly's getStream) reaches a " +
+			"summarized as returning pooled values, like flows' newTable) reaches a " +
 			"Put, a putter function, an ownership handoff, or a return on every path, and " +
 			"that neither the value nor any alias of it is used after the Put",
 		Run: runPoolleak,

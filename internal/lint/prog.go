@@ -61,7 +61,7 @@ type Summary struct {
 	Flows []ParamFlow
 
 	// ReturnsPooled marks a function whose result is a live sync.Pool.Get
-	// obligation (the getStream/newTable lease pattern); PutsParam marks
+	// obligation (the newTable lease pattern); PutsParam marks
 	// parameters the function returns to a pool on at least one path.
 	ReturnsPooled bool
 	PutsParam     map[int]bool

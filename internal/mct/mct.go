@@ -13,9 +13,11 @@
 package mct
 
 import (
-	"encoding/binary"
+	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
+	"sync"
 
 	"tdat/internal/bgp"
 	"tdat/internal/mrt"
@@ -72,10 +74,10 @@ type Result struct {
 }
 
 // prefixSet tracks distinct prefixes. IPv4 prefixes — the overwhelming case
-// for the paper's table transfers — pack losslessly into a uint64 key
-// (length in the high word, big-endian address in the low), which hashes
-// several times faster than the 24-byte netip.Prefix struct and halves the
-// map's memory traffic; anything else falls into a lazily created spill map.
+// for the paper's table transfers — are kept as their bgp.PrefixKey, which
+// hashes several times faster than the 24-byte netip.Prefix struct and
+// halves the map's memory traffic; anything else falls into a lazily
+// created spill map.
 type prefixSet struct {
 	v4    map[uint64]struct{}
 	other map[netip.Prefix]struct{}
@@ -87,9 +89,8 @@ func newPrefixSet(sizeHint int) *prefixSet {
 
 // insert adds p, reporting whether it was previously unseen.
 func (s *prefixSet) insert(p netip.Prefix) bool {
-	if a := p.Addr(); a.Is4() {
-		a4 := a.As4()
-		key := uint64(uint32(p.Bits()))<<32 | uint64(binary.BigEndian.Uint32(a4[:]))
+	if p.Addr().Is4() {
+		key := bgp.PrefixKey(p)
 		if _, ok := s.v4[key]; ok {
 			return false
 		}
@@ -108,10 +109,63 @@ func (s *prefixSet) insert(p netip.Prefix) bool {
 
 func (s *prefixSet) len() int { return len(s.v4) + len(s.other) }
 
+// keySet is the set of prefix keys FindEndKeys has seen: open addressing
+// with linear probing over a power-of-two table sized once per transfer
+// for every key it could be asked to hold, so it never grows. A PrefixKey
+// is below 2^38, so slots hold key+1 and zero marks an empty slot. Against
+// a Go map it saves the general-purpose hashing and lets one table be
+// cleared and reused across transfers.
+type keySet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+	n     int
+}
+
+// reset empties s and sizes it to hold up to max keys at a load factor of
+// at most 2/3.
+func (s *keySet) reset(max int) {
+	size, shift := 8, uint(61)
+	for size < max+max/2 {
+		size, shift = size*2, shift-1
+	}
+	if cap(s.slots) >= size {
+		s.slots = s.slots[:size]
+		clear(s.slots)
+	} else {
+		s.slots = make([]uint64, size)
+	}
+	s.shift, s.n = shift, 0
+}
+
+// insert adds key k, reporting whether it was previously unseen.
+func (s *keySet) insert(k uint64) bool {
+	k++
+	mask := len(s.slots) - 1
+	// Fibonacci hashing: the multiply spreads every key bit into the top
+	// bits, which pick the slot.
+	for i := int((k * 0x9E3779B97F4A7C15) >> s.shift); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			s.n++
+			return true
+		case k:
+			return false
+		}
+	}
+}
+
+// point is one update as the end rule sees it.
+type point struct {
+	time    Micros
+	total   int // announcements in this update
+	novel   int // previously unseen prefixes in this update
+	cumulen int // unique prefixes after this update
+}
+
 // FindEnd locates the transfer end in updates (which must be time-sorted;
 // they are sorted defensively). ok is false for an empty stream.
 func FindEnd(updates []Update, cfg Config) (Result, bool) {
-	cfg = cfg.withDefaults()
 	if len(updates) == 0 {
 		return Result{}, false
 	}
@@ -132,12 +186,6 @@ func FindEnd(updates []Update, cfg Config) (Result, bool) {
 		announced += len(ups[i].Prefixes)
 	}
 	seen := newPrefixSet(announced)
-	type point struct {
-		time    Micros
-		total   int // announcements in this update
-		novel   int // previously unseen prefixes in this update
-		cumulen int // unique prefixes after this update
-	}
 	points := make([]point, len(ups))
 	for i := range ups {
 		u := &ups[i]
@@ -149,7 +197,73 @@ func FindEnd(updates []Update, cfg Config) (Result, bool) {
 		}
 		points[i] = point{time: u.Time, total: len(u.Prefixes), novel: novel, cumulen: seen.len()}
 	}
+	return cfg.withDefaults().end(points), true
+}
 
+// KeyUpdate is one timed update of a KeyStream: it announced the prefixes
+// whose keys are Keys[Start:End].
+type KeyUpdate struct {
+	Time       Micros
+	Start, End int
+}
+
+// KeyStream is an update stream with every announced prefix packed into
+// its bgp.PrefixKey, all updates sharing one key buffer. It is what
+// reassembly.ScanKeys recovers from a capture without building a
+// bgp.Message. The owner reuses one across transfers: Reset keeps the
+// buffers.
+type KeyStream struct {
+	Keys    []uint64
+	Updates []KeyUpdate
+}
+
+// Reset empties s, keeping its buffers.
+func (s *KeyStream) Reset() {
+	s.Keys, s.Updates = s.Keys[:0], s.Updates[:0]
+}
+
+// keyScratch is FindEndKeys' working set. It is recycled through keyPool:
+// it never outlives the call and keeps its grown buffers, so a warm call
+// allocates nothing.
+type keyScratch struct {
+	seen   keySet
+	points []point
+}
+
+var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
+
+// FindEndKeys is FindEnd over a KeyStream: for the same announcements it
+// returns the same result, and it sorts s.Updates by time in place (stably)
+// if they are not already. ok is false when s holds no update.
+func FindEndKeys(s *KeyStream, cfg Config) (Result, bool) {
+	ups := s.Updates
+	if len(ups) == 0 {
+		return Result{}, false
+	}
+	byTime := func(a, b KeyUpdate) int { return cmp.Compare(a.Time, b.Time) }
+	if !slices.IsSortedFunc(ups, byTime) {
+		slices.SortStableFunc(ups, byTime)
+	}
+	sc := keyPool.Get().(*keyScratch)
+	sc.seen.reset(len(s.Keys))
+	points := slices.Grow(sc.points[:0], len(ups))[:len(ups)]
+	for i, u := range ups {
+		novel := 0
+		for _, k := range s.Keys[u.Start:u.End] {
+			if sc.seen.insert(k) {
+				novel++
+			}
+		}
+		points[i] = point{time: u.Time, total: u.End - u.Start, novel: novel, cumulen: sc.seen.n}
+	}
+	res := cfg.withDefaults().end(points)
+	sc.points = points
+	keyPool.Put(sc)
+	return res, true
+}
+
+// end applies the transfer-end rule to time-sorted, non-empty points.
+func (cfg Config) end(points []point) Result {
 	// Scan forward: the transfer continues while updates keep arriving
 	// densely and keep contributing new prefixes. The trailing novelty
 	// window slides with two pointers — wStart is non-decreasing, so each
@@ -186,7 +300,7 @@ func FindEnd(updates []Update, cfg Config) (Result, bool) {
 		End:            points[endIdx].time,
 		Updates:        endIdx + 1,
 		UniquePrefixes: points[endIdx].cumulen,
-	}, true
+	}
 }
 
 // FromMRT converts a collector's MRT archive into MCT updates — the

@@ -2,6 +2,7 @@ package mct
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"testing"
 
@@ -158,5 +159,63 @@ func TestFromMRT(t *testing.T) {
 	}
 	if ups[0].Time != 20 || len(ups[1].Prefixes) != 2 {
 		t.Errorf("updates = %+v", ups)
+	}
+}
+
+// keyStreamOf packs updates into a KeyStream, prefix by prefix.
+func keyStreamOf(ups []Update) *KeyStream {
+	ks := &KeyStream{}
+	for _, u := range ups {
+		start := len(ks.Keys)
+		for _, p := range u.Prefixes {
+			ks.Keys = append(ks.Keys, bgp.PrefixKey(p))
+		}
+		ks.Updates = append(ks.Updates, KeyUpdate{Time: u.Time, Start: start, End: len(ks.Keys)})
+	}
+	return ks
+}
+
+// TestFindEndKeysMatchesFindEnd holds the key feeder to FindEnd on random
+// streams: unsorted times with ties, re-announced prefixes, empty updates,
+// and tight rule settings so that every branch of the end rule fires.
+func TestFindEndKeysMatchesFindEnd(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	cfgs := []Config{{}, {QuietGap: 300_000, NoveltyWindow: 500_000, MinNovelty: 0.5}}
+	if _, ok := FindEndKeys(&KeyStream{}, Config{}); ok {
+		t.Error("found a transfer in an empty key stream")
+	}
+	for trial := 0; trial < 300; trial++ {
+		ups := make([]Update, 1+rnd.Intn(60))
+		for i := range ups {
+			ups[i].Time = Micros(rnd.Intn(40)) * 100_000
+			for j := rnd.Intn(6); j > 0; j-- {
+				ups[i].Prefixes = append(ups[i].Prefixes, pfx(rnd.Intn(80)))
+			}
+		}
+		for _, cfg := range cfgs {
+			want, wok := FindEnd(ups, cfg)
+			got, gok := FindEndKeys(keyStreamOf(ups), cfg)
+			if got != want || gok != wok {
+				t.Fatalf("trial %d, %+v: keys %+v/%v, prefixes %+v/%v", trial, cfg, got, gok, want, wok)
+			}
+		}
+	}
+}
+
+// TestFindEndKeysAllocs checks that a warm FindEndKeys call allocates
+// nothing: its working set is recycled across transfers.
+func TestFindEndKeysAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	ks := keyStreamOf(transferStream(0, 500, 10_000))
+	find := func() {
+		if _, ok := FindEndKeys(ks, Config{}); !ok {
+			t.Fatal("no result")
+		}
+	}
+	find()
+	if allocs := testing.AllocsPerRun(20, find); allocs != 0 {
+		t.Errorf("FindEndKeys allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -8,12 +8,15 @@ package reassembly
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"tdat/internal/bgp"
 	"tdat/internal/flows"
+	"tdat/internal/mct"
 	"tdat/internal/timerange"
 )
 
@@ -86,121 +89,38 @@ type seg struct {
 	time timerange.Micros
 }
 
-// streamPool recycles the linearization buffer across connections: the
-// parsed messages never alias it (bgp.Parse copies what it keeps, Raw is an
-// explicit copy), so each buffer can be handed to the next connection once
-// its result is built.
+// streamPool recycles the linearization buffer across connections: neither
+// the parsed messages nor the scanned keys alias it (bgp.Parse copies what
+// it keeps, Raw is an explicit copy, keys are values), so each buffer can be
+// handed to the next connection once its result is built.
 var streamPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// getStream returns a buffer of length n, zeroed unless the caller promises
-// to overwrite every byte. Zeroing matters when coverage has holes: a longer
-// duplicate of a segment start may have been deduplicated away, and bytes
-// only the duplicate covered must read as zero — the same bytes a freshly
-// allocated buffer would have shown.
-func getStream(n int64, fullyCovered bool) *[]byte {
-	bp := streamPool.Get().(*[]byte)
+// fitStream resizes the leased buffer *bp to n bytes, zeroed unless the
+// caller promises to overwrite every byte. Zeroing matters when coverage
+// has holes: a longer duplicate of a segment start may have been
+// deduplicated away, and bytes only the duplicate covered must read as
+// zero — the same bytes a freshly allocated buffer would have shown.
+func fitStream(bp *[]byte, n int64, fullyCovered bool) {
 	if int64(cap(*bp)) < n {
 		*bp = make([]byte, n)
-		return bp
+		return
 	}
 	*bp = (*bp)[:n]
 	if !fullyCovered {
 		clear(*bp)
 	}
-	return bp
 }
 
 // ReassembleOpts is Reassemble with explicit options.
 func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
-	firstAt := make(map[int64]struct{}, len(c.Data))
-	segs := make([]seg, 0, len(c.Data))
-	covered := timerange.NewSet()
-	var limit int64
-	for i := range c.Data {
-		d := &c.Data[i]
-		if d.Len == 0 {
-			continue
-		}
-		// First arrival wins: retransmissions carry identical bytes.
-		if _, ok := firstAt[d.Seq]; !ok {
-			firstAt[d.Seq] = struct{}{}
-			payload := d.Payload
-			if payload == nil {
-				payload = make([]byte, d.Len) // length-only traces
-			}
-			segs = append(segs, seg{off: d.Seq, data: payload, time: d.Time})
-		}
-		covered.Add(timerange.R(d.Seq, d.SeqEnd))
-		if d.SeqEnd > limit {
-			limit = d.SeqEnd
-		}
-	}
-
 	res := &Result{}
-	if limit == 0 {
-		return res, nil
-	}
-	contig := int64(0)
-	if covered.Len() > 0 && covered.At(0).Start == 0 {
-		contig = covered.At(0).End
-	}
-	res.StreamBytes = contig
-	res.MissingRanges = covered.Complement(timerange.R(0, limit)).Ranges()
-	if opts.MaxBytes > 0 && contig > opts.MaxBytes {
-		res.TruncatedBytes = contig - opts.MaxBytes
-		contig = opts.MaxBytes
-	}
-
-	// Linearize the contiguous prefix, remembering per-segment arrival
-	// boundaries for message timestamping. Segments are copied in ascending
-	// offset order (they usually already are — capture order), not map
-	// order, so overlapping segments with inconsistent payloads in an
-	// adversarial trace still linearize deterministically.
-	sorted := true
-	for i := 1; i < len(segs); i++ {
-		if segs[i].off < segs[i-1].off {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		sort.SliceStable(segs, func(i, j int) bool { return segs[i].off < segs[j].off })
-	}
-	// The copy loop below overwrites every byte of [0, contig) iff the kept
-	// first-arrival segments leave no hole — the usual case, which lets
-	// getStream skip zeroing a recycled buffer.
-	var keptTo int64
-	for _, s := range segs {
-		if s.off > keptTo {
-			break
-		}
-		if end := s.off + int64(len(s.data)); end > keptTo {
-			keptTo = end
-		}
-	}
-	streamBuf := getStream(contig, keptTo >= contig)
+	streamBuf := streamPool.Get().(*[]byte)
+	defer streamPool.Put(streamBuf)
+	spans := linearize(c, opts.MaxBytes, res, streamBuf)
 	stream := *streamBuf
-	spans := make([]span, 0, len(segs))
-	for _, s := range segs {
-		if s.off >= contig {
-			continue
-		}
-		end := s.off + int64(len(s.data))
-		if end > contig {
-			end = contig
-		}
-		copy(stream[s.off:end], s.data[:end-s.off])
-		spans = append(spans, span{end: end, time: s.time})
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].end < spans[j].end })
-
-	res.LooksLikeBGP = len(stream) >= len(bgpMarker) && bytes.Equal(stream[:len(bgpMarker)], bgpMarker)
-
-	// Split into BGP messages.
 	msgs, consumed, err := bgp.SplitStream(stream)
 	if err != nil {
-		streamPool.Put(streamBuf)
-		return res, fmt.Errorf("reassembly: BGP framing at offset %d: %w", consumed, err)
+		return res, framingError(consumed, err)
 	}
 	res.Messages = make([]Message, 0, len(msgs))
 	off := int64(0)
@@ -217,8 +137,122 @@ func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
 		})
 		off += length
 	}
-	streamPool.Put(streamBuf)
 	return res, nil
+}
+
+// ScanKeys is ReassembleOpts for the transfer-end estimate, which needs
+// only when each UPDATE arrived and what it announced. It linearizes the
+// same stream, capped at maxBytes (0 means unlimited), and validates it
+// with bgp.ScanStream instead of parsing it: each UPDATE carrying NLRI is
+// appended to ks with its arrival time, and no bgp.Message is built. It
+// returns the whole messages validated (what len(Result.Messages) would
+// be) and the same error as ReassembleOpts; res.Messages stays empty. ks is
+// the caller's and is appended to, never retained.
+func ScanKeys(c *flows.Connection, maxBytes int64, ks *mct.KeyStream) (res Result, msgs int, err error) {
+	streamBuf := streamPool.Get().(*[]byte)
+	defer streamPool.Put(streamBuf)
+	spans := linearize(c, maxBytes, &res, streamBuf)
+	start := len(ks.Keys)
+	var consumed int
+	ks.Keys, msgs, consumed, err = bgp.ScanStream(*streamBuf, ks.Keys, func(end, nkeys int) {
+		ks.Updates = append(ks.Updates, mct.KeyUpdate{Time: timeAt(spans, int64(end)), Start: start, End: nkeys})
+		start = nkeys
+	})
+	if err != nil {
+		return res, msgs, framingError(consumed, err)
+	}
+	return res, msgs, nil
+}
+
+func framingError(consumed int, err error) error {
+	return fmt.Errorf("reassembly: BGP framing at offset %d: %w", consumed, err)
+}
+
+// linearize copies the contiguous prefix of c's sender stream, capped at
+// maxBytes (0 means unlimited), into *streamBuf, a buffer the caller leased
+// from streamPool. It fills res's coverage fields and returns the arrival
+// spans that timestamp stream positions (see timeAt).
+func linearize(c *flows.Connection, maxBytes int64, res *Result, streamBuf *[]byte) []span {
+	segs := make([]seg, 0, len(c.Data))
+	covered := timerange.NewSet()
+	var limit int64
+	for i := range c.Data {
+		d := &c.Data[i]
+		if d.Len == 0 {
+			continue
+		}
+		payload := d.Payload
+		if payload == nil {
+			payload = make([]byte, d.Len) // length-only traces
+		}
+		segs = append(segs, seg{off: d.Seq, data: payload, time: d.Time})
+		covered.Add(timerange.R(d.Seq, d.SeqEnd))
+		if d.SeqEnd > limit {
+			limit = d.SeqEnd
+		}
+	}
+	if limit == 0 {
+		*streamBuf = (*streamBuf)[:0]
+		return nil
+	}
+	contig := int64(0)
+	if covered.Len() > 0 && covered.At(0).Start == 0 {
+		contig = covered.At(0).End
+	}
+	res.StreamBytes = contig
+	res.MissingRanges = covered.Complement(timerange.R(0, limit)).Ranges()
+	if maxBytes > 0 && contig > maxBytes {
+		res.TruncatedBytes = contig - maxBytes
+		contig = maxBytes
+	}
+
+	// Linearize the contiguous prefix, remembering per-segment arrival
+	// boundaries for message timestamping. Segments are copied in ascending
+	// offset order (they usually already are — capture order), so
+	// overlapping segments with inconsistent payloads in an adversarial
+	// trace still linearize deterministically. First arrival wins at each
+	// offset — retransmissions carry identical bytes — and the stable sort
+	// keeps arrivals at one offset in capture order, first arrival first.
+	byOffset := func(a, b seg) int { return cmp.Compare(a.off, b.off) }
+	if !slices.IsSortedFunc(segs, byOffset) {
+		slices.SortStableFunc(segs, byOffset)
+	}
+	segs = slices.CompactFunc(segs, func(a, b seg) bool { return a.off == b.off })
+	// The copy loop below overwrites every byte of [0, contig) iff the kept
+	// first-arrival segments leave no hole — the usual case, which lets
+	// fitStream skip zeroing a recycled buffer.
+	var keptTo int64
+	for _, s := range segs {
+		if s.off > keptTo {
+			break
+		}
+		if end := s.off + int64(len(s.data)); end > keptTo {
+			keptTo = end
+		}
+	}
+	fitStream(streamBuf, contig, keptTo >= contig)
+	stream := *streamBuf
+	spans := make([]span, 0, len(segs))
+	for _, s := range segs {
+		if s.off >= contig {
+			continue
+		}
+		end := s.off + int64(len(s.data))
+		if end > contig {
+			end = contig
+		}
+		copy(stream[s.off:end], s.data[:end-s.off])
+		spans = append(spans, span{end: end, time: s.time})
+	}
+	// Capture order usually leaves the spans sorted already, and sort.Slice
+	// would leave sorted input as it is (ties included), so skip its
+	// allocations then.
+	if !slices.IsSortedFunc(spans, func(a, b span) int { return cmp.Compare(a.end, b.end) }) {
+		sort.Slice(spans, func(i, j int) bool { return spans[i].end < spans[j].end })
+	}
+
+	res.LooksLikeBGP = len(stream) >= len(bgpMarker) && bytes.Equal(stream[:len(bgpMarker)], bgpMarker)
+	return spans
 }
 
 // timeAt returns the arrival time of the segment containing stream position

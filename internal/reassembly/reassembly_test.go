@@ -2,10 +2,12 @@ package reassembly
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"tdat/internal/bgp"
 	"tdat/internal/flows"
+	"tdat/internal/mct"
 	"tdat/internal/packet"
 )
 
@@ -233,4 +235,91 @@ func TestReassembleNonBGPNotFlagged(t *testing.T) {
 	if res.LooksLikeBGP {
 		t.Error("zero-filled stream flagged as BGP")
 	}
+}
+
+// TestScanKeysMatchesReassemble holds ScanKeys to ReassembleOpts on clean,
+// reordered, retransmitted, holed, capped and non-BGP streams: the same
+// coverage report, message count and error, and exactly the timed NLRI of
+// the parsed UPDATEs. The key stream starts non-empty, so the key ranges
+// must index the whole buffer, not just what this call appended.
+func TestScanKeysMatchesReassemble(t *testing.T) {
+	stream := bgpStream(t, 30)
+	at := func(i int) flows.Micros { return flows.Micros(i) * 1000 }
+	swapped := packetsFor(stream, 200, at)
+	swapped[1].Time, swapped[2].Time = swapped[2].Time, swapped[1].Time
+	retx := packetsFor(stream, 200, at)
+	dup := *retx[3].Pkt
+	retx = append(retx, flows.TimedPacket{Time: 900_000, Pkt: &dup})
+	holed := packetsFor(stream, 200, at)
+	holed = append(holed[:2], holed[3:]...)
+	junk := make([]byte, 100)
+	for i := range junk {
+		junk[i] = byte(i)
+	}
+	cases := []struct {
+		name     string
+		pkts     []flows.TimedPacket
+		maxBytes int64
+	}{
+		{"in-order", packetsFor(stream, 700, at), 0},
+		{"reordered", swapped, 0},
+		{"retransmit", retx, 0},
+		{"hole", holed, 0},
+		{"capped", packetsFor(stream, 200, at), int64(len(stream) / 2)},
+		{"garbage", packetsFor(junk, 50, at), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := extractOne(t, tc.pkts)
+			want, wantErr := ReassembleOpts(c, Options{MaxBytes: tc.maxBytes})
+			ks := &mct.KeyStream{Keys: []uint64{42}}
+			got, msgs, err := ScanKeys(c, tc.maxBytes, ks)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("error %v, want %v", err, wantErr)
+			}
+			if err == nil && msgs != len(want.Messages) {
+				t.Errorf("messages = %d, want %d", msgs, len(want.Messages))
+			}
+			want.Messages = nil
+			if !reflect.DeepEqual(&got, want) {
+				t.Errorf("result %+v, want %+v", got, *want)
+			}
+			if err != nil {
+				return
+			}
+			wantKS := &mct.KeyStream{Keys: []uint64{42}}
+			for _, m := range reassembledUpdates(t, c, tc.maxBytes) {
+				start := len(wantKS.Keys)
+				for _, p := range m.NLRI {
+					wantKS.Keys = append(wantKS.Keys, bgp.PrefixKey(p))
+				}
+				wantKS.Updates = append(wantKS.Updates, mct.KeyUpdate{Time: m.Time, Start: start, End: len(wantKS.Keys)})
+			}
+			if !reflect.DeepEqual(ks, wantKS) {
+				t.Errorf("key stream %+v, want %+v", ks, wantKS)
+			}
+		})
+	}
+}
+
+// timedUpdate is a parsed UPDATE that announced prefixes, with its time.
+type timedUpdate struct {
+	Time flows.Micros
+	NLRI []bgp.Prefix
+}
+
+// reassembledUpdates returns the announcing UPDATEs ReassembleOpts recovers.
+func reassembledUpdates(t *testing.T, c *flows.Connection, maxBytes int64) []timedUpdate {
+	t.Helper()
+	res, err := ReassembleOpts(c, Options{MaxBytes: maxBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []timedUpdate
+	for _, m := range res.Messages {
+		if u, ok := m.Msg.(*bgp.Update); ok && len(u.NLRI) > 0 {
+			out = append(out, timedUpdate{m.Time, u.NLRI})
+		}
+	}
+	return out
 }

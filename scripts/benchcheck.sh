@@ -25,16 +25,25 @@ raw="$dir/bench.txt"
 
 # Pipeline throughput + shard sweep (root package), then the zero-copy
 # microbenchmarks. -benchtime counts both in iterations-or-seconds; 1s is
-# enough for stable allocs/op, which is what the tight floors gate.
+# enough for stable allocs/op, which is what the tight floors gate. The
+# output goes to the file first and is shown after: piping into tee would
+# hide a failing benchmark behind tee's exit status (POSIX sh has no
+# pipefail).
+status=0
 {
 	go test -run '^$' \
 		-bench 'BenchmarkAnalyzeParallel$|BenchmarkAnalyzeParallelStream$|BenchmarkAnalyzeParallelSharded$|BenchmarkFlowExtraction$' \
-		-benchmem -benchtime 1s .
-	go test -run '^$' -bench 'BenchmarkDecodeInto$|BenchmarkDecodeReference$' \
-		-benchmem -benchtime 1s ./internal/packet
-	go test -run '^$' -bench 'BenchmarkReadInto$' \
-		-benchmem -benchtime 1s ./internal/pcapio
-} | tee "$raw"
+		-benchmem -benchtime 1s . &&
+		go test -run '^$' -bench 'BenchmarkDecodeInto$|BenchmarkDecodeReference$' \
+			-benchmem -benchtime 1s ./internal/packet &&
+		go test -run '^$' -bench 'BenchmarkReadInto$' \
+			-benchmem -benchtime 1s ./internal/pcapio
+} > "$raw" || status=$?
+cat "$raw"
+if [ "$status" != 0 ]; then
+	echo "FAIL benchmark run exited with status $status" >&2
+	exit "$status"
+fi
 
 # Parse `go test -bench` lines into "name metric value" triples. Benchmark
 # names carry a -<GOMAXPROCS> suffix; strip it so floors are host-agnostic.

@@ -26,5 +26,11 @@ full) flags="$flags -stacks all -stack-table $dir/stacktable.md" ;;
 	;;
 esac
 
+# Write the scorecard, then show it. Piping the validator into tee would
+# make this script exit with tee's status (POSIX sh has no pipefail), and a
+# floor breach would pass the gate.
+status=0
 # shellcheck disable=SC2086 # flags is a deliberate word list
-go run ./cmd/validate $flags | tee "$dir/scorecard.txt"
+go run ./cmd/validate $flags > "$dir/scorecard.txt" || status=$?
+cat "$dir/scorecard.txt"
+exit "$status"
