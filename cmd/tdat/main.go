@@ -215,7 +215,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *mrtPath == "" {
 		rep, err = analyzer.AnalyzePcap(f)
 	} else {
-		rep, err = analyzeWithArchive(analyzer, f, *mrtPath)
+		rep, err = analyzeWithArchive(analyzer, f, *mrtPath, *strict)
 	}
 	stopProgress()
 	if err != nil {
@@ -329,16 +329,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // analyzeWithArchive runs the Quagga pipeline: connections from the pcap
 // (streamed through the concurrent analysis pipeline), transfer ends from
-// the MRT archive, matched by the sending router's address.
-func analyzeWithArchive(a *core.Analyzer, pcapF *os.File, mrtPath string) (*core.Report, error) {
+// the MRT archive, matched by the sending router's address. An archive
+// that is damaged after some readable records is refused under strict and
+// otherwise analyzed up to the damage, with a warning.
+func analyzeWithArchive(a *core.Analyzer, pcapF *os.File, mrtPath string, strict bool) (*core.Report, error) {
 	mf, err := os.Open(mrtPath)
 	if err != nil {
 		return nil, err
 	}
 	defer mf.Close()
 	mrecs, err := mrt.ReadAll(mf)
-	if err != nil && len(mrecs) == 0 {
-		return nil, err
+	if err != nil {
+		if len(mrecs) == 0 {
+			return nil, err
+		}
+		if strict {
+			return nil, fmt.Errorf("%w: MRT archive %s after %d record(s): %v", core.ErrStrict, mrtPath, len(mrecs), err)
+		}
+		slog.Warn("damaged MRT archive; using the records before the damage",
+			"path", mrtPath, "records", len(mrecs), "err", err)
 	}
 	// Bucket archive records by peer (router) address and sort each bucket
 	// by timestamp once, so scoping each connection's lifetime window is a

@@ -48,6 +48,30 @@ func parseSeeds(tb testing.TB) [][]byte {
 	return [][]byte{good, good[:19], {}, append(append([]byte(nil), good...), good...)}
 }
 
+// tableStream is a 2000-prefix table transfer packed into maximally filled
+// UPDATEs, back to back, as a router sends it.
+func tableStream(tb testing.TB) []byte {
+	tb.Helper()
+	attrs := &PathAttrs{Origin: OriginIGP, ASPath: []uint16{7018, 3356}, NextHop: netip.MustParseAddr("10.0.0.1")}
+	routes := make([]Route, 2000)
+	for i := range routes {
+		routes[i] = Route{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24), Attrs: attrs}
+	}
+	ups, err := PackTable(routes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var stream []byte
+	for _, u := range ups {
+		raw, err := u.Marshal()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		stream = append(stream, raw...)
+	}
+	return stream
+}
+
 // checkScanEquiv holds ScanStream to SplitStream+Parse on one input: the
 // same message count, consumed offset and error, and exactly the keys of
 // the parsed UPDATEs' NLRI, reported at the offsets where those UPDATEs
@@ -63,14 +87,7 @@ func checkScanEquiv(tb testing.TB, data []byte) {
 	if n != len(msgs) || scanConsumed != consumed {
 		tb.Fatalf("scan: %d messages, %d consumed; split: %d, %d", n, scanConsumed, len(msgs), consumed)
 	}
-	if (err == nil) != (scanErr == nil) || err != nil && err.Error() != scanErr.Error() {
-		tb.Fatalf("scan error %v, split error %v", scanErr, err)
-	}
-	for _, sentinel := range []error{ErrTruncated, ErrBadMarker, ErrBadLength, ErrBadType, ErrBadMessage} {
-		if errors.Is(err, sentinel) != errors.Is(scanErr, sentinel) {
-			tb.Fatalf("errors.Is(%v): scan %v, split %v", sentinel, errors.Is(scanErr, sentinel), errors.Is(err, sentinel))
-		}
-	}
+	checkSameError(tb, "split", err, scanErr)
 	var want []uint64
 	var wantEnds, wantCounts []int
 	off := 0
@@ -91,9 +108,58 @@ func checkScanEquiv(tb testing.TB, data []byte) {
 	}
 }
 
+// checkSameError fails tb unless the scan's error equals the reference
+// path's: both nil, or the same text and the same codec sentinel.
+func checkSameError(tb testing.TB, ref string, err, scanErr error) {
+	tb.Helper()
+	if (err == nil) != (scanErr == nil) || err != nil && err.Error() != scanErr.Error() {
+		tb.Fatalf("scan error %v, %s error %v", scanErr, ref, err)
+	}
+	for _, sentinel := range []error{ErrTruncated, ErrBadMarker, ErrBadLength, ErrBadType, ErrBadMessage} {
+		if errors.Is(err, sentinel) != errors.Is(scanErr, sentinel) {
+			tb.Fatalf("errors.Is(%v): scan %v, %s %v", sentinel, errors.Is(scanErr, sentinel), ref, errors.Is(err, sentinel))
+		}
+	}
+}
+
+// checkMessageEquiv holds ScanMessage to Parse on one input: the same
+// error, and the keys of the parsed UPDATE's NLRI appended after the keys
+// already held, which stay untouched on error.
+func checkMessageEquiv(tb testing.TB, data []byte) {
+	tb.Helper()
+	m, err := Parse(data)
+	keys, scanErr := ScanMessage(data, []uint64{1})
+	checkSameError(tb, "parse", err, scanErr)
+	want := []uint64{1}
+	if u, ok := m.(*Update); ok {
+		for _, p := range u.NLRI {
+			want = append(want, PrefixKey(p))
+		}
+	}
+	if !slices.Equal(keys, want) {
+		tb.Fatalf("ScanMessage keys %x, parsed NLRI keys %x", keys, want)
+	}
+}
+
+// checkMessagesEquiv runs checkMessageEquiv on data and on every whole
+// message framed at its start.
+func checkMessagesEquiv(tb testing.TB, data []byte) {
+	tb.Helper()
+	checkMessageEquiv(tb, data)
+	for off := 0; ; {
+		n, err := frameLen(data[off:])
+		if n == 0 || err != nil {
+			return
+		}
+		checkMessageEquiv(tb, data[off:off+n])
+		off += n
+	}
+}
+
 // TestParseNeverPanics mutates valid messages and feeds noise: malformed
 // BGP bytes in a reassembled stream must error, never crash — and the
-// prefix scan must reach the same verdict as the parser.
+// prefix scans of a stream and of one message must reach the same verdict
+// as the parser.
 func TestParseNeverPanics(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	good := goodUpdate(t)
@@ -111,7 +177,7 @@ func TestParseNeverPanics(t *testing.T) {
 		default:
 			data = good[:rnd.Intn(len(good))]
 		}
-		_, _ = Parse(data)
+		checkMessagesEquiv(t, data)
 		checkScanEquiv(t, data)
 	}
 }
@@ -139,11 +205,13 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzScanEquiv is the differential target for the prefix scan: on any
+// FuzzScanEquiv is the differential target for the prefix scans: on any
 // byte string ScanStream must agree with SplitStream+Parse (see
-// checkScanEquiv). It starts from FuzzParse's seeds, its committed corpus,
-// and the BGP streams of the adversarial captures. CI runs it for a short
-// smoke window; run locally with
+// checkScanEquiv), and ScanMessage with Parse on every message it holds
+// (see checkMessagesEquiv). It starts from FuzzParse's seeds, its committed
+// corpus, the BGP streams of the adversarial captures, and a table
+// transfer of full-size UPDATEs. CI runs it for a short smoke window; run
+// locally with
 //
 //	go test -run='^$' -fuzz=FuzzScanEquiv -fuzztime=30s ./internal/bgp
 func FuzzScanEquiv(f *testing.F) {
@@ -156,7 +224,9 @@ func FuzzScanEquiv(f *testing.F) {
 	for _, stream := range corpusStreams(f) {
 		f.Add(stream)
 	}
+	f.Add(tableStream(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkMessagesEquiv(t, data)
 		checkScanEquiv(t, data)
 	})
 }

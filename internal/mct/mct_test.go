@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
+	"sort"
 	"testing"
 
 	"tdat/internal/bgp"
@@ -175,47 +177,215 @@ func keyStreamOf(ups []Update) *KeyStream {
 	return ks
 }
 
-// TestFindEndKeysMatchesFindEnd holds the key feeder to FindEnd on random
-// streams: unsorted times with ties, re-announced prefixes, empty updates,
-// and tight rule settings so that every branch of the end rule fires.
-func TestFindEndKeysMatchesFindEnd(t *testing.T) {
-	rnd := rand.New(rand.NewSource(3))
-	cfgs := []Config{{}, {QuietGap: 300_000, NoveltyWindow: 500_000, MinNovelty: 0.5}}
-	if _, ok := FindEndKeys(&KeyStream{}, Config{}); ok {
-		t.Error("found a transfer in an empty key stream")
+// refFindEnd is the reference FindEnd is held to: the same end rule over
+// points counted with a map of whole prefixes.
+func refFindEnd(updates []Update, cfg Config) (Result, bool) {
+	if len(updates) == 0 {
+		return Result{}, false
 	}
-	for trial := 0; trial < 300; trial++ {
-		ups := make([]Update, 1+rnd.Intn(60))
-		for i := range ups {
-			ups[i].Time = Micros(rnd.Intn(40)) * 100_000
-			for j := rnd.Intn(6); j > 0; j-- {
-				ups[i].Prefixes = append(ups[i].Prefixes, pfx(rnd.Intn(80)))
+	ups := append([]Update(nil), updates...)
+	sort.SliceStable(ups, func(i, j int) bool { return ups[i].Time < ups[j].Time })
+	seen := map[netip.Prefix]bool{}
+	points := make([]point, len(ups))
+	for i, u := range ups {
+		novel := 0
+		for _, p := range u.Prefixes {
+			if !seen[p] {
+				seen[p] = true
+				novel++
 			}
 		}
-		for _, cfg := range cfgs {
-			want, wok := FindEnd(ups, cfg)
-			got, gok := FindEndKeys(keyStreamOf(ups), cfg)
+		points[i] = point{time: u.Time, total: len(u.Prefixes), novel: novel, cumulen: len(seen)}
+	}
+	return cfg.withDefaults().end(points), true
+}
+
+// oddPrefixes are prefixes without a PrefixKey: IPv6, IPv4-mapped IPv6, an
+// IPv4 address with an out-of-range length, and the zero Prefix.
+var oddPrefixes = []netip.Prefix{
+	netip.MustParsePrefix("2001:db8::/32"),
+	netip.MustParsePrefix("2001:db8:1::/48"),
+	netip.MustParsePrefix("::ffff:10.0.0.0/104"),
+	netip.PrefixFrom(netip.AddrFrom4([4]byte{255, 255, 255, 255}), 33),
+	{},
+}
+
+// randomUpdates draws a stream of up to 60 updates: unsorted times with
+// ties, re-announced prefixes and empty updates. With odd set, some
+// announcements are oddPrefixes or unmasked IPv4 prefixes.
+func randomUpdates(rnd *rand.Rand, odd bool) []Update {
+	ups := make([]Update, 1+rnd.Intn(60))
+	for i := range ups {
+		ups[i].Time = Micros(rnd.Intn(40)) * 100_000
+		for j := rnd.Intn(6); j > 0; j-- {
+			p := pfx(rnd.Intn(80))
+			if odd {
+				switch rnd.Intn(8) {
+				case 0:
+					p = oddPrefixes[rnd.Intn(len(oddPrefixes))]
+				case 1:
+					p = netip.PrefixFrom(p.Addr().Next(), 24) // host bits set
+				}
+			}
+			ups[i].Prefixes = append(ups[i].Prefixes, p)
+		}
+	}
+	return ups
+}
+
+// ruleConfigs are the default rule and tight settings under which every
+// branch of the end rule fires on randomUpdates' streams.
+var ruleConfigs = []Config{{}, {QuietGap: 300_000, NoveltyWindow: 500_000, MinNovelty: 0.5}}
+
+// TestFindEndMatchesReference holds FindEnd's key set, spill set included,
+// to a map of whole prefixes on random streams.
+func TestFindEndMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		ups := randomUpdates(rnd, true)
+		for _, cfg := range ruleConfigs {
+			want, wok := refFindEnd(ups, cfg)
+			got, gok := FindEnd(ups, cfg)
 			if got != want || gok != wok {
-				t.Fatalf("trial %d, %+v: keys %+v/%v, prefixes %+v/%v", trial, cfg, got, gok, want, wok)
+				t.Fatalf("trial %d, %+v: FindEnd %+v/%v, reference %+v/%v", trial, cfg, got, gok, want, wok)
 			}
 		}
 	}
 }
 
-// TestFindEndKeysAllocs checks that a warm FindEndKeys call allocates
-// nothing: its working set is recycled across transfers.
+// TestFindEndKeysMatchesFindEnd holds the key feeder to the map reference
+// and to FindEnd on random IPv4 streams.
+func TestFindEndKeysMatchesFindEnd(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	if _, ok := FindEndKeys(&KeyStream{}, Config{}); ok {
+		t.Error("found a transfer in an empty key stream")
+	}
+	for trial := 0; trial < 300; trial++ {
+		ups := randomUpdates(rnd, false)
+		for _, cfg := range ruleConfigs {
+			want, wok := refFindEnd(ups, cfg)
+			got, gok := FindEndKeys(keyStreamOf(ups), cfg)
+			if got != want || gok != wok {
+				t.Fatalf("trial %d, %+v: keys %+v/%v, reference %+v/%v", trial, cfg, got, gok, want, wok)
+			}
+			if got, gok := FindEnd(ups, cfg); got != want || gok != wok {
+				t.Fatalf("trial %d, %+v: prefixes %+v/%v, reference %+v/%v", trial, cfg, got, gok, want, wok)
+			}
+		}
+	}
+}
+
+// refFromMRT is the reference FromMRT is held to: every record parsed
+// with bgp.Parse, keeping the UPDATEs that announce something.
+func refFromMRT(records []mrt.Record) []Update {
+	var out []Update
+	for _, r := range records {
+		m, err := r.Message()
+		if err != nil {
+			continue
+		}
+		u, ok := m.(*bgp.Update)
+		if !ok || len(u.NLRI) == 0 {
+			continue
+		}
+		out = append(out, Update{Time: r.TimeMicros, Prefixes: u.NLRI})
+	}
+	return out
+}
+
+// randomRecords draws up to 40 archived messages: UPDATEs that announce,
+// withdraw or both, KEEPALIVEs and NOTIFICATIONs, some of them truncated
+// or with flipped bits.
+func randomRecords(tb testing.TB, rnd *rand.Rand) []mrt.Record {
+	tb.Helper()
+	attrs := &bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: []uint16{1, 2}, NextHop: netip.MustParseAddr("10.0.0.1")}
+	prefixes := func() []netip.Prefix {
+		ps := make([]netip.Prefix, rnd.Intn(5))
+		for i := range ps {
+			ps[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(rnd.Intn(4)), byte(rnd.Intn(256)), 0}), 8+rnd.Intn(25)).Masked()
+		}
+		return ps
+	}
+	recs := make([]mrt.Record, rnd.Intn(40))
+	for i := range recs {
+		var m bgp.Message
+		switch rnd.Intn(6) {
+		case 0:
+			m = &bgp.Keepalive{}
+		case 1:
+			m = &bgp.Notification{Code: 6, Subcode: 2}
+		case 2:
+			m = &bgp.Update{Withdrawn: prefixes()}
+		default:
+			m = &bgp.Update{Withdrawn: prefixes(), Attrs: attrs, NLRI: prefixes()}
+		}
+		raw, err := m.Marshal()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		switch rnd.Intn(8) {
+		case 0:
+			raw = raw[:rnd.Intn(len(raw))]
+		case 1:
+			raw[rnd.Intn(len(raw))] ^= byte(1 << rnd.Intn(8))
+		}
+		recs[i] = mrt.Record{TimeMicros: int64(i) * 1000, Raw: raw}
+	}
+	return recs
+}
+
+// TestFromMRTMatchesParse holds FromMRT to the Parse-based reference on
+// random archives: the same updates, times and prefixes, and nil when none
+// is left.
+func TestFromMRTMatchesParse(t *testing.T) {
+	rnd := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 500; trial++ {
+		recs := randomRecords(t, rnd)
+		if got, want := FromMRT(recs), refFromMRT(recs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: FromMRT %+v, reference %+v", trial, got, want)
+		}
+	}
+}
+
+// TestFromMRTAllocs checks that a warm FromMRT allocates its result only:
+// one prefix array shared by all updates, and the updates.
+func TestFromMRTAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	attrs := &bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: []uint16{1}, NextHop: netip.MustParseAddr("10.0.0.1")}
+	var recs []mrt.Record
+	for _, u := range transferStream(0, 200, 10_000) {
+		raw, err := (&bgp.Update{Attrs: attrs, NLRI: u.Prefixes}).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, mrt.Record{TimeMicros: u.Time, Raw: raw})
+	}
+	FromMRT(recs)
+	if allocs := testing.AllocsPerRun(20, func() { FromMRT(recs) }); allocs != 2 {
+		t.Errorf("FromMRT allocates %.1f times per call, want 2", allocs)
+	}
+}
+
+// TestFindEndKeysAllocs checks that warm FindEndKeys and FindEnd calls
+// over IPv4 prefixes allocate nothing: their working set is recycled
+// across transfers.
 func TestFindEndKeysAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
 	}
-	ks := keyStreamOf(transferStream(0, 500, 10_000))
-	find := func() {
-		if _, ok := FindEndKeys(ks, Config{}); !ok {
-			t.Fatal("no result")
+	ups := transferStream(0, 500, 10_000)
+	ks := keyStreamOf(ups)
+	for name, find := range map[string]func() bool{
+		"FindEndKeys": func() bool { _, ok := FindEndKeys(ks, Config{}); return ok },
+		"FindEnd":     func() bool { _, ok := FindEnd(ups, Config{}); return ok },
+	} {
+		if !find() {
+			t.Fatalf("%s: no result", name)
 		}
-	}
-	find()
-	if allocs := testing.AllocsPerRun(20, find); allocs != 0 {
-		t.Errorf("FindEndKeys allocates %.1f times per call, want 0", allocs)
+		if allocs := testing.AllocsPerRun(20, func() { find() }); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
+		}
 	}
 }

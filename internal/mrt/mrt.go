@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 
 	"tdat/internal/bgp"
 )
@@ -97,31 +98,47 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // BGP4MP/BGP4MP_ET + BGP4MP_MESSAGE are skipped.
 type Reader struct {
 	r *bufio.Reader
+	// hdr and body are the record scratch buffers. They live on the Reader
+	// because a stack array passed to io.ReadFull escapes, costing one heap
+	// allocation per record; body keeps the largest record read so far.
+	hdr  [12]byte
+	body []byte
 }
 
 // NewReader creates a Reader.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
 // Next returns the next BGP4MP_MESSAGE record, or io.EOF at a clean end.
+// The record's Raw is a copy the caller owns.
 func (r *Reader) Next() (Record, error) {
+	var rec Record
+	err := r.next(&rec)
+	rec.Raw = append([]byte(nil), rec.Raw...)
+	return rec, err
+}
+
+// next is Next into rec, with rec.Raw a view of the reader's body buffer,
+// valid until the next read. On error rec is left as it was.
+func (r *Reader) next(rec *Record) error {
 	for {
-		var hdr [12]byte
+		hdr := &r.hdr
 		if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
 			if err == io.EOF {
-				return Record{}, io.EOF
+				return io.EOF
 			}
-			return Record{}, fmt.Errorf("%w: header: %v", ErrTruncated, err)
+			return fmt.Errorf("%w: header: %v", ErrTruncated, err)
 		}
 		sec := int64(binary.BigEndian.Uint32(hdr[0:4]))
 		typ := binary.BigEndian.Uint16(hdr[4:6])
 		sub := binary.BigEndian.Uint16(hdr[6:8])
 		length := binary.BigEndian.Uint32(hdr[8:12])
 		if length > 1<<20 {
-			return Record{}, fmt.Errorf("%w: implausible length %d", ErrBadRecord, length)
+			return fmt.Errorf("%w: implausible length %d", ErrBadRecord, length)
 		}
-		body := make([]byte, length)
+		body := slices.Grow(r.body[:0], int(length))[:length]
+		r.body = body
 		if _, err := io.ReadFull(r.r, body); err != nil {
-			return Record{}, fmt.Errorf("%w: body: %v", ErrTruncated, err)
+			return fmt.Errorf("%w: body: %v", ErrTruncated, err)
 		}
 		isET := typ == TypeBGP4MPET
 		if (typ != TypeBGP4MP && !isET) || sub != SubtypeMessage {
@@ -130,42 +147,81 @@ func (r *Reader) Next() (Record, error) {
 		micros := sec * 1_000_000
 		if isET {
 			if len(body) < 4 {
-				return Record{}, fmt.Errorf("%w: ET timestamp", ErrTruncated)
+				return fmt.Errorf("%w: ET timestamp", ErrTruncated)
 			}
 			micros += int64(binary.BigEndian.Uint32(body[0:4]))
 			body = body[4:]
 		}
 		if len(body) < 16 {
-			return Record{}, fmt.Errorf("%w: BGP4MP body %d bytes", ErrTruncated, len(body))
+			return fmt.Errorf("%w: BGP4MP body %d bytes", ErrTruncated, len(body))
 		}
 		afi := binary.BigEndian.Uint16(body[6:8])
 		if afi != 1 {
 			continue // IPv4 only
 		}
-		rec := Record{
-			TimeMicros: micros,
-			PeerAS:     binary.BigEndian.Uint16(body[0:2]),
-			LocalAS:    binary.BigEndian.Uint16(body[2:4]),
-			PeerIP:     netip.AddrFrom4([4]byte(body[8:12])),
-			LocalIP:    netip.AddrFrom4([4]byte(body[12:16])),
-			Raw:        append([]byte(nil), body[16:]...),
-		}
-		return rec, nil
+		rec.TimeMicros = micros
+		rec.PeerAS = binary.BigEndian.Uint16(body[0:2])
+		rec.LocalAS = binary.BigEndian.Uint16(body[2:4])
+		rec.PeerIP = netip.AddrFrom4([4]byte(body[8:12]))
+		rec.LocalIP = netip.AddrFrom4([4]byte(body[12:16]))
+		rec.Raw = body[16:]
+		return nil
 	}
 }
 
-// ReadAll drains the reader.
+// Block sizes of ReadAll: records are gathered recordBlock at a time, and
+// their message bytes are packed rawBlock bytes at a time.
+const (
+	recordBlock = 512
+	rawBlock    = 64 << 10
+)
+
+// ReadAll drains the reader. It returns the records read before a failure
+// together with the error. Every record's Raw is a capped view into a block
+// of message bytes shared with its neighbours: appending to one reallocates
+// it and leaves the others intact. The result is allocated once, at exact
+// size, from fixed-size blocks of records.
 func ReadAll(r io.Reader) ([]Record, error) {
 	rd := NewReader(r)
-	var out []Record
+	var (
+		full [][]Record // filled record blocks
+		recs []Record   // the block being filled
+		raw  []byte     // the message-byte block being filled
+	)
 	for {
-		rec, err := rd.Next()
-		if err == io.EOF {
-			return out, nil
+		if len(recs) == cap(recs) {
+			if recs != nil {
+				full = append(full, recs)
+			}
+			recs = make([]Record, 0, recordBlock)
 		}
-		if err != nil {
-			return out, err
+		rec := &recs[:len(recs)+1][len(recs)]
+		if err := rd.next(rec); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			if len(full) == 0 && len(recs) == 0 {
+				return nil, err
+			}
+			out := make([]Record, 0, len(full)*recordBlock+len(recs))
+			for _, b := range full {
+				out = append(out, b...)
+			}
+			return append(out, recs...), err
 		}
-		out = append(out, rec)
+		switch size := len(rec.Raw); {
+		case size == 0:
+			rec.Raw = nil // as Next returns it
+		case size > rawBlock:
+			rec.Raw = append([]byte(nil), rec.Raw...)
+		default:
+			if size > cap(raw)-len(raw) {
+				raw = make([]byte, 0, rawBlock)
+			}
+			off := len(raw)
+			raw = append(raw, rec.Raw...)
+			rec.Raw = raw[off:len(raw):len(raw)]
+		}
+		recs = recs[:len(recs)+1]
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"tdat/internal/bgp"
 )
 
-func sampleRecord(t *testing.T, micros int64) Record {
+func sampleRecord(t testing.TB, micros int64) Record {
 	t.Helper()
 	u := &bgp.Update{
 		Attrs: &bgp.PathAttrs{
@@ -156,5 +156,46 @@ func TestWriterRejectsIPv6(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewWriter(&buf).Write(rec); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("err = %v, want ErrBadRecord", err)
+	}
+}
+
+// BenchmarkReadAll reads a 20k-record archive of small UPDATEs, the shape
+// of a collector's table-transfer archive (about four prefixes a message).
+//
+//	go test -run='^$' -bench=BenchmarkReadAll -benchmem ./internal/mrt
+func BenchmarkReadAll(b *testing.B) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	attrs := &bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: []uint16{7018, 16910}, NextHop: netip.MustParseAddr("10.0.0.1")}
+	const records = 20_000
+	for i := 0; i < records; i++ {
+		u := &bgp.Update{Attrs: attrs}
+		for j := 0; j < 1+i%8; j++ {
+			u.NLRI = append(u.NLRI, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), byte(j)}), 32))
+		}
+		raw, err := u.Marshal()
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := Record{
+			TimeMicros: int64(i) * 1000, PeerAS: 7018, LocalAS: 65000,
+			PeerIP: netip.AddrFrom4([4]byte{10, 2, 0, byte(i%32) + 1}), LocalIP: netip.MustParseAddr("10.0.0.2"),
+			Raw: raw,
+		}
+		if err := w.Write(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, err := ReadAll(bytes.NewReader(data))
+		if err != nil || len(recs) != records {
+			b.Fatalf("read %d records, err %v", len(recs), err)
+		}
 	}
 }

@@ -5,8 +5,8 @@
 #
 #   - allocs/op ceilings are machine-independent and tight: the zero-copy
 #     decode and pcap record loop must stay at 0 allocs/op, and whole-
-#     pipeline allocations may not creep back toward the pre-zero-copy
-#     count.
+#     pipeline allocations, from a capture alone or with its MRT archive,
+#     may not creep back toward the pre-zero-copy count.
 #   - conns/sec minimums and ns/op ceilings are deliberately loose (CI
 #     runners vary severalfold in speed); they catch order-of-magnitude
 #     regressions, not noise.
@@ -24,7 +24,7 @@ mkdir -p "$dir"
 raw="$dir/bench.txt"
 
 # Pipeline throughput + shard sweep (root package), then the zero-copy
-# microbenchmarks. -benchtime counts both in iterations-or-seconds; 1s is
+# microbenchmarks, then the MRT archive path (tdat -mrt). -benchtime counts both in iterations-or-seconds; 1s is
 # enough for stable allocs/op, which is what the tight floors gate. The
 # output goes to the file first and is shown after: piping into tee would
 # hide a failing benchmark behind tee's exit status (POSIX sh has no
@@ -37,7 +37,9 @@ status=0
 		go test -run '^$' -bench 'BenchmarkDecodeInto$|BenchmarkDecodeReference$' \
 			-benchmem -benchtime 1s ./internal/packet &&
 		go test -run '^$' -bench 'BenchmarkReadInto$' \
-			-benchmem -benchtime 1s ./internal/pcapio
+			-benchmem -benchtime 1s ./internal/pcapio &&
+		go test -run '^$' -bench 'BenchmarkAnalyzeWithArchive$' \
+			-benchmem -benchtime 1s ./cmd/tdat
 } > "$raw" || status=$?
 cat "$raw"
 if [ "$status" != 0 ]; then
