@@ -282,47 +282,6 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeParallelSharded sweeps the demux shard count on the
-// streaming path (sharding only exists there — AnalyzePackets always uses
-// one demuxer). Reports are byte-identical at every shard count (core's
-// TestShardedAnalysisByteIdentical); the sweep prices the sharding
-// machinery itself: global sequence numbering, the hash route, and the
-// arrival-order merge.
-func BenchmarkAnalyzeParallelSharded(b *testing.B) {
-	pkts := parallelTrace(b)
-	var buf bytes.Buffer
-	w := pcapio.NewWriter(&buf)
-	for _, tp := range pkts {
-		frame, err := tp.Pkt.Marshal()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.WritePacket(tp.Time, frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, s := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", s), func(b *testing.B) {
-			analyzer := core.New(core.Config{Workers: 1, Shards: s})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := analyzer.AnalyzePcap(bytes.NewReader(data))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rep.Transfers) != 32 {
-					b.Fatalf("transfers = %d", len(rep.Transfers))
-				}
-			}
-			b.ReportMetric(32*float64(b.N)/b.Elapsed().Seconds(), "conns/sec")
-		})
-	}
-}
-
 // BenchmarkAnalyzeParallelObs quantifies the observability layer's cost on
 // the same workload: disabled (Config.Obs nil — the default fast path,
 // whose regression budget vs. the uninstrumented seed is <2%), enabled
@@ -452,7 +411,7 @@ func BenchmarkAblationMajorThreshold(b *testing.B) {
 		for _, th := range []float64{0.3, 0.4, 0.5} {
 			counts := map[factors.Group]int{}
 			for _, t := range s.Vendor().Transfers {
-				rep := factors.Analyze(t.Report.Catalog, t.Report.Transfer, th)
+				rep := factors.AnalyzeEv(t.Report.Catalog, t.Report.Transfer, th, nil)
 				if !rep.Unknown() {
 					counts[rep.MajorGroups[0]]++
 				}
@@ -464,7 +423,7 @@ func BenchmarkAblationMajorThreshold(b *testing.B) {
 	t0 := s.Vendor().Transfers[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		factors.Analyze(t0.Report.Catalog, t0.Report.Transfer, 0.3)
+		factors.AnalyzeEv(t0.Report.Catalog, t0.Report.Transfer, 0.3, nil)
 	}
 }
 

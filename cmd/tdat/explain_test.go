@@ -13,10 +13,10 @@ import (
 
 // renderExplain runs the CLI on the committed clean trace with -explain and
 // the given concurrency/observability knobs, returning stdout.
-func renderExplain(t *testing.T, jsonMode bool, workers, shards string, withObs bool) string {
+func renderExplain(t *testing.T, jsonMode bool, workers string, withObs bool) string {
 	t.Helper()
 	trace := filepath.Join("testdata", "clean.pcap")
-	args := []string{"-explain", "-workers", workers, "-shards", shards, "-log-level", "error"}
+	args := []string{"-explain", "-workers", workers, "-log-level", "error"}
 	if jsonMode {
 		args = append(args, "-json")
 	}
@@ -34,20 +34,18 @@ func renderExplain(t *testing.T, jsonMode bool, workers, shards string, withObs 
 }
 
 // TestGoldenExplain pins the -explain text report against a golden file and
-// asserts the evidence contract: byte-identical output at every
-// workers×shards combination, with the Obs layer on or off.
+// asserts the evidence contract: byte-identical output at every worker
+// count, with the Obs layer on or off.
 func TestGoldenExplain(t *testing.T) {
 	golden := filepath.Join("testdata", "clean.explain.golden")
-	got := renderExplain(t, false, "1", "1", false)
+	got := renderExplain(t, false, "1", false)
 
-	for _, workers := range []string{"1", "2", "8"} {
-		for _, shards := range []string{"1", "4"} {
-			if alt := renderExplain(t, false, workers, shards, false); alt != got {
-				t.Errorf("explain output differs at workers=%s shards=%s", workers, shards)
-			}
+	for _, workers := range []string{"2", "8"} {
+		if alt := renderExplain(t, false, workers, false); alt != got {
+			t.Errorf("explain output differs at workers=%s", workers)
 		}
 	}
-	if alt := renderExplain(t, false, "4", "2", true); alt != got {
+	if alt := renderExplain(t, false, "4", true); alt != got {
 		t.Error("explain output differs with obs enabled")
 	}
 
@@ -71,11 +69,11 @@ func TestGoldenExplain(t *testing.T) {
 // TestGoldenExplainJSON pins the -json -explain output the same way.
 func TestGoldenExplainJSON(t *testing.T) {
 	golden := filepath.Join("testdata", "clean.explain.json.golden")
-	got := renderExplain(t, true, "1", "1", false)
+	got := renderExplain(t, true, "1", false)
 
 	for _, workers := range []string{"2", "8"} {
-		if alt := renderExplain(t, true, workers, "4", false); alt != got {
-			t.Errorf("explain JSON differs at workers=%s shards=4", workers)
+		if alt := renderExplain(t, true, workers, false); alt != got {
+			t.Errorf("explain JSON differs at workers=%s", workers)
 		}
 	}
 

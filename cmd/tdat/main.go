@@ -40,7 +40,7 @@
 // and served on /debug/explain. -trace-json writes a Chrome trace_event
 // file merging the pipeline spans with per-connection transfer timelines;
 // open it at ui.perfetto.dev. Both are deterministic: byte-identical output
-// at any -workers/-shards setting.
+// at any -workers setting.
 package main
 
 import (
@@ -86,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mrtPath    = fs.String("mrt", "", "collector MRT archive to pin transfer ends (Quagga pipeline)")
 		asJSON     = fs.Bool("json", false, "emit machine-readable JSON per connection")
 		workers    = fs.Int("workers", 0, "analysis worker count (0 = all CPUs, 1 = sequential); output is identical for any value")
-		shards     = fs.Int("shards", 0, "demux shard count for connection tracking (0 or 1 = single demuxer); output is identical for any value")
 		strict     = fs.Bool("strict", false, "refuse damaged captures: fail at the first degradation event instead of analyzing leniently")
 		maxConns   = fs.Int("max-connections", 0, "cap simultaneously tracked connections; when full the oldest open one is force-completed (0 = unlimited)")
 		maxReasm   = fs.Int64("max-reassembly-bytes", 0, "cap per-connection reassembled stream bytes (0 = unlimited)")
@@ -117,7 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := core.Config{
 		MajorThreshold:     *threshold,
 		Workers:            *workers,
-		Shards:             *shards,
 		Strict:             *strict,
 		MaxConnections:     *maxConns,
 		MaxReassemblyBytes: *maxReasm,

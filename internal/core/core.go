@@ -5,7 +5,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"sync"
 
@@ -15,8 +14,6 @@ import (
 	"tdat/internal/flows"
 	"tdat/internal/mct"
 	"tdat/internal/obs"
-	"tdat/internal/packet"
-	"tdat/internal/pcapio"
 	"tdat/internal/reassembly"
 	"tdat/internal/series"
 	"tdat/internal/timerange"
@@ -47,23 +44,13 @@ type Config struct {
 	// Reports are byte-identical for every value — only wall-clock time
 	// changes (regression-tested by TestParallelAnalysisByteIdentical).
 	Workers int
-	// Shards partitions the streamed pcap path's connection tracking across
-	// N independent demuxers by a deterministic hash of the canonical
-	// 4-tuple (0 or 1 selects a single demuxer). Every packet of a
-	// connection lands in the same shard, packets are numbered globally
-	// before routing, and merged reports are ordered by each connection's
-	// global first-packet arrival sequence — so output is byte-identical at
-	// any worker×shard count (regression-tested alongside Workers). Sharding
-	// bounds per-demuxer index size on captures with very large connection
-	// counts; note that MaxConnections then caps each shard independently.
-	Shards int
 	// Strict refuses damaged captures: the first degradation event —
 	// undecodable record, pcap-level truncation or corruption, timestamp
 	// regression, resource-cap eviction, BGP framing failure — aborts the
 	// run with an ErrStrict-wrapped error instead of degrading. The lenient
 	// default completes the analysis and accounts for every concession in
-	// Report.Degradation. Enforced by the ingest entry points (AnalyzePcap,
-	// AnalyzePcapWith, AnalyzeRecords).
+	// Report.Degradation. Enforced by the pcap entry points (AnalyzePcap,
+	// AnalyzePcapWith); AnalyzePackets ignores it.
 	Strict bool
 	// MaxConnections caps simultaneously tracked (un-emitted) connections
 	// in the demuxer; when full, the oldest open connection is
@@ -83,8 +70,8 @@ type Config struct {
 	// factor attribution records the rule that fired, the measurements it
 	// compared, and the contributing intervals (TransferReport.Evidence,
 	// rendered by Report.Explain). Evidence is a pure function of the
-	// connection — byte-identical at any worker×shard count — and never
-	// changes analysis output; off keeps the zero-allocation fast path.
+	// connection — byte-identical at any worker count — and never changes
+	// analysis output; off keeps the zero-allocation fast path.
 	Explain bool
 }
 
@@ -177,33 +164,6 @@ func (a *Analyzer) AnalyzePcap(r io.Reader) (*Report, error) {
 	return a.AnalyzePcapWith(r, a.AnalyzeConnection)
 }
 
-// AnalyzeRecords analyzes decoded pcap records. In strict mode the first
-// undecodable record (or any downstream degradation) aborts the run.
-func (a *Analyzer) AnalyzeRecords(recs []pcapio.Record) (*Report, error) {
-	var pkts []flows.TimedPacket
-	skipped := 0
-	for i, rec := range recs {
-		p, err := decodeRecord(rec)
-		if err != nil {
-			if a.cfg.Strict {
-				return nil, fmt.Errorf("%w: record %d undecodable: %v", ErrStrict, i, err)
-			}
-			skipped++
-			continue
-		}
-		pkts = append(pkts, p)
-	}
-	rep := a.AnalyzePackets(pkts)
-	rep.SkippedPackets = skipped
-	rep.Degradation.UndecodableRecords = skipped
-	if a.cfg.Strict {
-		if err := rep.Degradation.strictErr(); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
-}
-
 // connLabel renders the connection 4-tuple for span logs and failure
 // reports.
 func connLabel(c *flows.Connection) string {
@@ -244,9 +204,9 @@ func (a *Analyzer) generateSeries(tr *TransferReport, rec *explain.Recorder) {
 	sp.EndN(c.Profile.TotalDataBytes, int64(c.Profile.TotalDataPackets))
 }
 
-// finish runs the factor classification and the detectors — the shared
-// tail of every per-connection analysis path — under their spans, records
-// the outcomes in the metrics registry, and seals the evidence record.
+// finish runs the factor classification and the detectors under their
+// spans, records the outcomes in the metrics registry, and seals the
+// evidence record.
 func (a *Analyzer) finish(tr *TransferReport, rec *explain.Recorder) {
 	o := a.cfg.Obs
 	sp := a.connSpan(obs.StageFactors, tr.Conn)
@@ -269,18 +229,24 @@ func (a *Analyzer) finish(tr *TransferReport, rec *explain.Recorder) {
 	tr.Evidence = rec.Evidence()
 }
 
-// AnalyzeConnection runs series generation, transfer-window estimation,
-// factor classification, and the detectors for one connection.
-func (a *Analyzer) AnalyzeConnection(c *flows.Connection) *TransferReport {
+// analyze is the one per-connection analysis path: series generation,
+// then the transfer window from window (which may fill in tr.MCT and the
+// reassembly fields), then factor classification and the detectors.
+func (a *Analyzer) analyze(c *flows.Connection, window func(tr *TransferReport) timerange.Range) *TransferReport {
 	tr := &TransferReport{Conn: c}
 	rec := a.recorder()
 	a.generateSeries(tr, rec)
+	tr.Transfer = window(tr)
+	a.finish(tr, rec)
+	return tr
+}
 
-	// Transfer window: TCP start → MCT end (paper §II-A steps ii & iii).
-	sp := a.connSpan(obs.StageMCT, c)
-	start := c.Profile.Start
-	end := c.Profile.End
-	if res, ok := a.reassembleEnd(c, tr); ok {
+// mctWindow is the transfer window from TCP start to the MCT end (paper
+// §II-A steps ii & iii), or to the last data packet when no end was found.
+func mctWindow(tr *TransferReport, res mct.Result, ok bool) timerange.Range {
+	c := tr.Conn
+	start, end := c.Profile.Start, c.Profile.End
+	if ok {
 		tr.MCT = &res
 		end = res.End
 	} else if len(c.Data) > 0 {
@@ -289,41 +255,19 @@ func (a *Analyzer) AnalyzeConnection(c *flows.Connection) *TransferReport {
 	if end <= start {
 		end = start + 1
 	}
-	tr.Transfer = timerange.R(start, end)
-	sp.EndN(c.Profile.TotalDataBytes, int64(tr.Messages))
-
-	a.finish(tr, rec)
-	return tr
+	return timerange.R(start, end)
 }
 
-// AnalyzeConnectionWithEnd is AnalyzeConnection with an externally known
-// transfer end (e.g. from a collector's MRT archive via mct.FindEnd),
-// skipping payload reassembly.
-func (a *Analyzer) AnalyzeConnectionWithEnd(c *flows.Connection, end Micros) *TransferReport {
-	tr := &TransferReport{Conn: c}
-	rec := a.recorder()
-	a.generateSeries(tr, rec)
-	start := c.Profile.Start
-	if end <= start {
-		end = start + 1
-	}
-	tr.Transfer = timerange.R(start, end)
-	a.finish(tr, rec)
-	return tr
-}
-
-// AnalyzeConnectionWindow analyzes c over an explicit window — e.g. a churn
-// burst on an established session rather than the initial table transfer.
-func (a *Analyzer) AnalyzeConnectionWindow(c *flows.Connection, window timerange.Range) *TransferReport {
-	tr := &TransferReport{Conn: c}
-	rec := a.recorder()
-	a.generateSeries(tr, rec)
-	if window.Empty() {
-		window = timerange.R(c.Profile.Start, c.Profile.End+1)
-	}
-	tr.Transfer = window
-	a.finish(tr, rec)
-	return tr
+// AnalyzeConnection runs series generation, transfer-window estimation
+// from the reassembled BGP stream, factor classification, and the
+// detectors for one connection.
+func (a *Analyzer) AnalyzeConnection(c *flows.Connection) *TransferReport {
+	return a.analyze(c, func(tr *TransferReport) timerange.Range {
+		sp := a.connSpan(obs.StageMCT, c)
+		res, ok := a.reassembleEnd(c, tr)
+		sp.EndN(c.Profile.TotalDataBytes, int64(tr.Messages))
+		return mctWindow(tr, res, ok)
+	})
 }
 
 // AnalyzeConnectionWithUpdates is AnalyzeConnection with the transfer end
@@ -331,19 +275,22 @@ func (a *Analyzer) AnalyzeConnectionWindow(c *flows.Connection, window timerange
 // collector's MRT file via mct.FromMRT) instead of payload reassembly —
 // the paper's §II-A step (ii) pipeline.
 func (a *Analyzer) AnalyzeConnectionWithUpdates(c *flows.Connection, updates []mct.Update) *TransferReport {
-	sp := a.connSpan(obs.StageMCT, c)
-	end := c.Profile.End
-	var res *mct.Result
-	if r, ok := mct.FindEnd(updates, a.cfg.MCT); ok {
-		res = &r
-		end = r.End
-	} else if len(c.Data) > 0 {
-		end = c.Data[len(c.Data)-1].Time
+	return a.analyze(c, func(tr *TransferReport) timerange.Range {
+		sp := a.connSpan(obs.StageMCT, c)
+		res, ok := mct.FindEnd(updates, a.cfg.MCT)
+		sp.EndN(0, int64(len(updates)))
+		return mctWindow(tr, res, ok)
+	})
+}
+
+// AnalyzeConnectionWindow analyzes c over an explicit window — e.g. a churn
+// burst on an established session rather than the initial table transfer.
+// An empty window selects the whole connection.
+func (a *Analyzer) AnalyzeConnectionWindow(c *flows.Connection, window timerange.Range) *TransferReport {
+	if window.Empty() {
+		window = timerange.R(c.Profile.Start, c.Profile.End+1)
 	}
-	sp.EndN(0, int64(len(updates)))
-	tr := a.AnalyzeConnectionWithEnd(c, end)
-	tr.MCT = res
-	return tr
+	return a.analyze(c, func(*TransferReport) timerange.Range { return window })
 }
 
 // keyStreams recycles reassembleEnd's key buffers across connections. The
@@ -372,13 +319,4 @@ func (a *Analyzer) reassembleEnd(c *flows.Connection, tr *TransferReport) (mct.R
 	}
 	tr.Messages = msgs
 	return mct.FindEndKeys(ks, a.cfg.MCT)
-}
-
-// decodeRecord converts one pcap record to a timed packet.
-func decodeRecord(rec pcapio.Record) (flows.TimedPacket, error) {
-	p, err := packet.Decode(rec.Data)
-	if err != nil {
-		return flows.TimedPacket{}, err
-	}
-	return flows.TimedPacket{Time: rec.TimeMicros, Pkt: p}, nil
 }

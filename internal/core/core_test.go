@@ -212,12 +212,12 @@ func TestWriteTextReport(t *testing.T) {
 	}
 }
 
-func TestAnalyzeConnectionWithEnd(t *testing.T) {
+func TestAnalyzeConnectionWindowForcedEnd(t *testing.T) {
 	tr := tracegen.Run(tracegen.Scenario{Kind: tracegen.KindClean, Seed: 11, Routes: 4_000})
 	a := New(Config{})
 	rep := a.AnalyzePackets(tr.Packets())
 	c := rep.Transfers[0].Conn
-	forced := a.AnalyzeConnectionWithEnd(c, c.Profile.Start+1_000_000)
+	forced := a.AnalyzeConnectionWindow(c, timerange.R(c.Profile.Start, c.Profile.Start+1_000_000))
 	if forced.Duration() != 1_000_000 {
 		t.Errorf("forced duration = %d", forced.Duration())
 	}

@@ -121,15 +121,26 @@ func TestStrictRefusesCorpus(t *testing.T) {
 }
 
 // TestStrictAcceptsCleanTrace checks strict mode is transparent on a
-// healthy capture — same transfers, empty degradation.
+// healthy capture — byte-identical output, empty degradation. It drives the
+// pcap path, the only one that enforces strict mode.
 func TestStrictAcceptsCleanTrace(t *testing.T) {
 	b := traceutil.New()
 	b.Handshake(0, 8_000, 1460)
 	b.SteadyTransfer(20_000, 8_000, 4, 4, 65535)
-	lenient := New(Config{Workers: 1}).AnalyzePackets(b.Pkts)
-	strict := New(Config{Workers: 1, Strict: true}).AnalyzePackets(b.Pkts)
-	if len(lenient.Transfers) != len(strict.Transfers) || len(strict.Transfers) == 0 {
-		t.Fatalf("transfers: lenient=%d strict=%d", len(lenient.Transfers), len(strict.Transfers))
+	data, _ := writePcap(t, b.Pkts, 0)
+	lenient, err := New(Config{Workers: 1}).AnalyzePcap(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict, err := New(Config{Workers: 1, Strict: true}).AnalyzePcap(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("strict mode refused a clean trace: %v", err)
+	}
+	if len(strict.Transfers) == 0 {
+		t.Fatal("no transfers")
+	}
+	if !bytes.Equal(serializeReport(t, lenient), serializeReport(t, strict)) {
+		t.Error("strict report differs from lenient report")
 	}
 	if !strict.Degradation.Empty() {
 		t.Errorf("clean trace reported degradation: %+v", strict.Degradation)

@@ -75,16 +75,6 @@ func MapOrdered[T, R any](workers int, in []T, fn func(T) R) []R {
 	return out
 }
 
-// AnalyzeEach applies analyze to every connection on the configured worker
-// pool, returning reports in input order. It is the fan-out primitive for
-// callers that bring their own per-connection analysis — e.g. the MRT/
-// Quagga path, which pins each transfer end from a collector archive.
-// Panics propagate; the Report-producing entry points (AnalyzePackets,
-// AnalyzePcapWith) wrap analyze in a recovery guard instead.
-func (a *Analyzer) AnalyzeEach(conns []*flows.Connection, analyze func(*flows.Connection) *TransferReport) []*TransferReport {
-	return MapOrdered(a.workers(), conns, analyze)
-}
-
 // guard wraps per-connection analysis so one connection's panic becomes an
 // AnalysisFailure on the report (and a metrics counter tick) instead of a
 // crashed run. Failures collect under a mutex and are sorted by connection
@@ -96,7 +86,7 @@ type guard struct {
 }
 
 // analyze runs fn(c), recovering a panic into a recorded failure (the
-// returned report is then nil and the merge skips the connection).
+// returned report is then nil and merge skips the connection).
 func (g *guard) analyze(fn func(*flows.Connection) *TransferReport, c *flows.Connection) (tr *TransferReport) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -112,8 +102,18 @@ func (g *guard) analyze(fn func(*flows.Connection) *TransferReport, c *flows.Con
 	return fn(c)
 }
 
-// finish sorts and attaches the collected failures.
-func (g *guard) finish(rep *Report) {
+// merge appends the surviving reports to rep in slice order — the
+// demuxer's creation index on both entry points — then sorts and attaches
+// the collected failures.
+func (g *guard) merge(rep *Report, results []*TransferReport) {
+	sp := g.a.span(obs.StageMerge)
+	for _, t := range results {
+		if t != nil {
+			rep.Transfers = append(rep.Transfers, t)
+			rep.Degradation.addTransfer(t)
+		}
+	}
+	sp.End()
 	sort.Slice(g.failures, func(i, j int) bool {
 		if g.failures[i].Conn != g.failures[j].Conn {
 			return g.failures[i].Conn < g.failures[j].Conn
@@ -133,7 +133,7 @@ func (a *Analyzer) AnalyzePackets(pkts []flows.TimedPacket) *Report {
 		o.Reg.Gauge("tdat_pool_workers").Set(int64(a.workers()))
 	}
 	g := &guard{a: a}
-	results := a.AnalyzeEach(conns, func(c *flows.Connection) *TransferReport {
+	results := MapOrdered(a.workers(), conns, func(c *flows.Connection) *TransferReport {
 		if o != nil {
 			o.Progress.ConnStart()
 		}
@@ -146,15 +146,7 @@ func (a *Analyzer) AnalyzePackets(pkts []flows.TimedPacket) *Report {
 	})
 	rep := &Report{}
 	rep.Degradation.fromDemux(ds)
-	sp := a.span(obs.StageMerge)
-	for _, t := range results {
-		if t != nil {
-			rep.Transfers = append(rep.Transfers, t)
-			rep.Degradation.addTransfer(t)
-		}
-	}
-	sp.End()
-	g.finish(rep)
+	g.merge(rep, results)
 	if o != nil {
 		rep.Degradation.observe(o.Reg)
 	}
@@ -218,7 +210,7 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 	g := &guard{a: a}
 	var (
 		mu      sync.Mutex
-		results = map[int]*TransferReport{}
+		results []*TransferReport // indexed by demuxer creation index
 	)
 	analyzeOne := func(idx int, c *flows.Connection) {
 		if o != nil {
@@ -232,6 +224,9 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 			analyzedC.Inc()
 		}
 		mu.Lock()
+		if idx >= len(results) {
+			results = append(results, make([]*TransferReport, idx+1-len(results))...)
+		}
 		results[idx] = rep
 		mu.Unlock()
 	}
@@ -268,113 +263,56 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 			}()
 		}
 	}
-
-	// Demux shards: connections partition across independent demuxers by a
-	// deterministic 4-tuple hash. Packets are numbered globally before
-	// routing and merged reports are keyed by each connection's global
-	// first-packet arrival sequence (which, with one shard, increases
-	// exactly in creation order), so the shard count never changes output.
-	shards := a.cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	fopts := a.cfg.Flows
-	var regressC *obs.Counter
-	if shards > 1 {
-		// The global stream's timestamp regressions are counted here at the
-		// reader — each shard sees only a substream and must not count.
-		fopts.ExternalClock = true
-		if o != nil {
-			regressC = o.Reg.Counter("tdat_demux_ts_regressions_total")
-		}
-	}
-	emit := func(idx int, c *flows.Connection) {
-		if parallel {
-			j := connJob{idx: idx, conn: c}
-			if o != nil {
-				depthG.Add(1)
-				j.enq = obs.Now()
-			}
-			jobs <- j
-		} else {
+	d := flows.NewDemuxer(a.cfg.Flows, func(idx int, c *flows.Connection) {
+		if !parallel {
 			analyzeOne(idx, c)
+			return
 		}
-	}
-	ds := make([]*flows.Demuxer, shards)
-	for i := range ds {
-		ds[i] = flows.NewDemuxer(fopts, func(_ int, c *flows.Connection) {
-			// The merge is keyed by global arrival sequence, not the
-			// shard-local creation index.
-			emit(int(c.ArrivalSeq()), c)
-		})
-	}
+		j := connJob{idx: idx, conn: c}
+		if o != nil {
+			depthG.Add(1)
+			j.enq = obs.Now()
+		}
+		jobs <- j
+	})
 
 	// Zero-copy ingest: one reused record buffer (pcapio.ReadInto) and one
 	// reused packet struct (packet.DecodeInto). The demuxer copies what it
 	// keeps into per-connection columnar storage before Add returns, so
-	// nothing downstream aliases either buffer.
+	// nothing downstream aliases either buffer. With observability on,
+	// three clock reads per record split the time between the decode and
+	// demux stages.
 	var pkt packet.Packet
-	var (
-		seq      int64 // global arrival sequence of decoded packets
-		lastTime Micros
-		regress  int64 // reader-counted regressions (sharded mode)
-	)
-	addPacket := func(tm Micros) {
-		if shards > 1 {
-			if tm < lastTime {
-				regress++
-				if regressC != nil {
-					regressC.Inc()
-				}
-			}
-			lastTime = tm
-		}
-		ds[flows.ShardOf(&pkt, shards)].AddSeq(seq, tm, &pkt)
-		seq++
-	}
 	records, skipped := 0, 0
-	var readErr error
-	if o == nil {
-		readErr = pr.EachInto(func(rec pcapio.Record) error {
-			records++
-			if err := packet.DecodeInto(rec.Data, &pkt); err != nil {
-				if a.cfg.Strict {
-					return fmt.Errorf("%w: record %d undecodable: %v", ErrStrict, records-1, err)
-				}
-				skipped++
-				return nil
-			}
-			addPacket(rec.TimeMicros)
-			return nil
-		})
-	} else {
-		// Instrumented ingest: three clock reads per record split the time
-		// between the decode and demux stages.
-		readErr = pr.EachInto(func(rec pcapio.Record) error {
-			records++
+	readErr := pr.EachInto(func(rec pcapio.Record) error {
+		records++
+		var t0, t1 time.Time
+		if o != nil {
 			recordsC.Inc()
 			o.Progress.AddRecords(1)
 			o.Progress.SetBytesRead(pr.BytesRead())
-			t0 := obs.Now()
-			err := packet.DecodeInto(rec.Data, &pkt)
-			t1 := obs.Now()
+			t0 = obs.Now()
+		}
+		err := packet.DecodeInto(rec.Data, &pkt)
+		if o != nil {
+			t1 = obs.Now()
 			o.StageObserve(obs.StageDecode, t1.Sub(t0).Microseconds())
-			if err != nil {
-				if a.cfg.Strict {
-					return fmt.Errorf("%w: record %d undecodable: %v", ErrStrict, records-1, err)
-				}
-				skipped++
-				skippedC.Inc()
-				return nil
+		}
+		if err != nil {
+			if a.cfg.Strict {
+				return fmt.Errorf("%w: record %d undecodable: %v", ErrStrict, records-1, err)
 			}
-			addPacket(rec.TimeMicros)
-			o.StageObserve(obs.StageDemux, obs.Since(t1).Microseconds())
+			skipped++
+			skippedC.Inc()
 			return nil
-		})
-	}
-	for _, d := range ds {
-		d.Finish()
-	}
+		}
+		d.Add(flows.TimedPacket{Time: rec.TimeMicros, Pkt: &pkt})
+		if o != nil {
+			o.StageObserve(obs.StageDemux, obs.Since(t1).Microseconds())
+		}
+		return nil
+	})
+	d.Finish()
 	if parallel {
 		close(jobs)
 		wg.Wait()
@@ -391,21 +329,9 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 		}
 	}
 
-	var stats flows.DemuxStats
-	for _, d := range ds {
-		s := d.Stats()
-		stats.Packets += s.Packets
-		stats.Opened += s.Opened
-		stats.EarlyEmits += s.EarlyEmits
-		stats.Evicted += s.Evicted
-		stats.Resumed += s.Resumed
-		stats.TimestampRegressions += s.TimestampRegressions
-	}
-	stats.TimestampRegressions += regress // reader-counted (sharded mode only)
-
 	rep := &Report{SkippedPackets: skipped}
 	rep.Degradation.UndecodableRecords = skipped
-	rep.Degradation.fromDemux(stats)
+	rep.Degradation.fromDemux(d.Stats())
 	if readErr != nil {
 		// Lenient path with a readable prefix: the file damage is a
 		// degradation event, located exactly when the pcap layer can.
@@ -416,22 +342,7 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 		}
 		rep.Degradation.RecordErrors = append(rep.Degradation.RecordErrors, issue)
 	}
-	sp := a.span(obs.StageMerge)
-	// Merge in global arrival order: the map keys are each connection's
-	// first-packet arrival sequence, unique across shards.
-	order := make([]int, 0, len(results))
-	for k := range results {
-		order = append(order, k)
-	}
-	sort.Ints(order)
-	for _, k := range order {
-		if t := results[k]; t != nil {
-			rep.Transfers = append(rep.Transfers, t)
-			rep.Degradation.addTransfer(t)
-		}
-	}
-	sp.End()
-	g.finish(rep)
+	g.merge(rep, results)
 	if a.cfg.Strict {
 		if err := rep.Degradation.strictErr(); err != nil {
 			return nil, err

@@ -225,12 +225,11 @@ func TestStreamingPcapMatchesSlicePath(t *testing.T) {
 }
 
 func TestShardedAnalysisByteIdentical(t *testing.T) {
-	// The demux shard count must never change output: connections hash to
-	// shards whole, packets are numbered globally, and the merge re-orders
-	// by first-packet arrival. Swept against worker counts, over a clean
-	// capture and one with timestamp regressions (where per-shard disorder
-	// detection and reader-side regression counting must agree with the
-	// single-demuxer path).
+	// The worker count must never change the streamed path's output: the
+	// merge orders reports by the demuxer's creation index. Swept over a
+	// clean capture and one with timestamp regressions, where the
+	// regression count and the per-connection re-sort must not depend on
+	// the worker count either.
 	const conns = 8
 	pkts := multiConnPackets(t, conns)
 	clean, _ := writePcap(t, pkts, 0)
@@ -253,29 +252,26 @@ func TestShardedAnalysisByteIdentical(t *testing.T) {
 	for name, data := range map[string][]byte{"clean": clean, "disordered": disordered} {
 		var baseline []byte
 		var baseRegress int64
-		for _, w := range []int{1, 4} {
-			for _, s := range []int{0, 1, 2, 3, 16} {
-				rep, err := New(Config{Workers: w, Shards: s}).AnalyzePcap(bytes.NewReader(data))
-				if err != nil {
-					t.Fatalf("%s workers=%d shards=%d: %v", name, w, s, err)
-				}
-				if len(rep.Transfers) != conns {
-					t.Fatalf("%s workers=%d shards=%d: transfers = %d, want %d",
-						name, w, s, len(rep.Transfers), conns)
-				}
-				out := serializeReport(t, rep)
-				if baseline == nil {
-					baseline = out
-					baseRegress = rep.Degradation.TimestampRegressions
-					continue
-				}
-				if !bytes.Equal(out, baseline) {
-					t.Errorf("%s workers=%d shards=%d: report differs from single-demuxer baseline", name, w, s)
-				}
-				if rep.Degradation.TimestampRegressions != baseRegress {
-					t.Errorf("%s workers=%d shards=%d: regressions = %d, want %d",
-						name, w, s, rep.Degradation.TimestampRegressions, baseRegress)
-				}
+		for _, w := range []int{1, 2, 4} {
+			rep, err := New(Config{Workers: w}).AnalyzePcap(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, w, err)
+			}
+			if len(rep.Transfers) != conns {
+				t.Fatalf("%s workers=%d: transfers = %d, want %d", name, w, len(rep.Transfers), conns)
+			}
+			out := serializeReport(t, rep)
+			if baseline == nil {
+				baseline = out
+				baseRegress = rep.Degradation.TimestampRegressions
+				continue
+			}
+			if !bytes.Equal(out, baseline) {
+				t.Errorf("%s workers=%d: report differs from workers=1 baseline", name, w)
+			}
+			if rep.Degradation.TimestampRegressions != baseRegress {
+				t.Errorf("%s workers=%d: regressions = %d, want %d",
+					name, w, rep.Degradation.TimestampRegressions, baseRegress)
 			}
 		}
 		if name == "disordered" && baseRegress == 0 {

@@ -40,7 +40,7 @@ func (r *Report) traceEpoch() timerange.Micros {
 // series, loss recovery (plus retransmit instants), and the factor
 // attributions as async spans. Timestamps are µs since the earliest
 // transfer start. The output depends only on the report, so it is
-// byte-deterministic at any worker×shard count.
+// byte-deterministic at any worker count.
 func (r *Report) TraceEvents(basePid int64) []obs.TraceEvent {
 	epoch := r.traceEpoch()
 	var out []obs.TraceEvent

@@ -27,19 +27,14 @@ type TimerGapResult struct {
 	InducedDelay Micros
 }
 
-// TimerGaps infers a repetitive pacing timer from the SendAppLimited gap
+// TimerGapsEv infers a repetitive pacing timer from the SendAppLimited gap
 // length distribution (paper Fig 17) within window (empty = whole capture,
 // but callers should clip to the table-transfer period so post-transfer
 // keepalive silences do not masquerade as timers). minJump is the
-// knee-detection sharpness guard (≤0 selects 3×).
-func TimerGaps(cat *series.Catalog, window timerange.Range, minJump float64) (TimerGapResult, bool) {
-	return TimerGapsEv(cat, window, minJump, nil)
-}
-
-// TimerGapsEv is TimerGaps with evidence capture: each exit — no knee,
+// knee-detection sharpness guard (≤0 selects 3×). Each exit — no knee,
 // sub-50 ms periodicity, too few repeats, or a detected timer — records the
-// rule's inputs, thresholds, and (on detection) the matched idle gaps. A
-// nil Recorder keeps the uninstrumented fast path.
+// rule's inputs, thresholds, and (on detection) the matched idle gaps in
+// rec; a nil Recorder keeps the uninstrumented fast path.
 func TimerGapsEv(cat *series.Catalog, window timerange.Range, minJump float64, rec *explain.Recorder) (TimerGapResult, bool) {
 	if minJump <= 0 {
 		minJump = 3
@@ -166,18 +161,13 @@ type ConsecutiveLossResult struct {
 // consecutive losses to collapse cwnd and ssthresh to the minimum.
 const DefaultConsecutiveLossThreshold = 8
 
-// ConsecutiveLosses unions all loss series and counts episodes of at least
-// threshold (≤0 selects 8) loss events in close succession. Loss events
-// within one merged recovery range — or in ranges chained at RTO scale
-// (timeout-driven recovery repairs one hole per backoff, seconds apart) —
-// belong to one episode.
-func ConsecutiveLosses(cat *series.Catalog, window timerange.Range, threshold int) ConsecutiveLossResult {
-	return ConsecutiveLossesEv(cat, window, threshold, nil)
-}
-
-// ConsecutiveLossesEv is ConsecutiveLosses with evidence capture: the
-// qualifying episode time ranges, the run/chain thresholds, and the max
-// run are recorded. A nil Recorder keeps the uninstrumented fast path.
+// ConsecutiveLossesEv unions all loss series and counts episodes of at
+// least threshold (≤0 selects 8) loss events in close succession. Loss
+// events within one merged recovery range — or in ranges chained at RTO
+// scale (timeout-driven recovery repairs one hole per backoff, seconds
+// apart) — belong to one episode. The qualifying episode time ranges, the
+// run/chain thresholds, and the max run are recorded in rec; a nil
+// Recorder keeps the uninstrumented fast path.
 func ConsecutiveLossesEv(cat *series.Catalog, window timerange.Range, threshold int, rec *explain.Recorder) ConsecutiveLossResult {
 	if threshold <= 0 {
 		threshold = DefaultConsecutiveLossThreshold
@@ -343,15 +333,10 @@ type ZeroAckBugResult struct {
 	Conflict *timerange.Set
 }
 
-// ZeroAckBug returns the conflict series (paper §IV-B) when non-empty.
-func ZeroAckBug(cat *series.Catalog) (ZeroAckBugResult, bool) {
-	return ZeroAckBugEv(cat, nil)
-}
-
-// ZeroAckBugEv is ZeroAckBug with evidence capture: the conflict intervals
-// (zero-window periods overlapping upstream-loss recovery) are recorded
-// whether or not the detector fires. A nil Recorder keeps the
-// uninstrumented fast path.
+// ZeroAckBugEv returns the conflict series (paper §IV-B) when non-empty.
+// The conflict intervals (zero-window periods overlapping upstream-loss
+// recovery) are recorded in rec whether or not the detector fires; a nil
+// Recorder keeps the uninstrumented fast path.
 func ZeroAckBugEv(cat *series.Catalog, rec *explain.Recorder) (ZeroAckBugResult, bool) {
 	s := cat.Get(series.ZeroAckBug)
 	if s.Empty() {

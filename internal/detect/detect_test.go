@@ -31,7 +31,7 @@ func pacedBuilder(n int, timer traceutil.Micros) *traceutil.Builder {
 
 func TestTimerGapsDetects200ms(t *testing.T) {
 	cat := genCat(pacedBuilder(40, 200_000))
-	res, ok := TimerGaps(cat, timerange.Range{}, 0)
+	res, ok := TimerGapsEv(cat, timerange.Range{}, 0, nil)
 	if !ok {
 		t.Fatal("timer not detected")
 	}
@@ -51,7 +51,7 @@ func TestTimerGapsRejectsSteadyTransfer(t *testing.T) {
 	b.Handshake(0, 10_000, mss)
 	b.SteadyTransfer(20_000, 10_000, 40, 4, 65535)
 	cat := genCat(b)
-	if res, ok := TimerGaps(cat, timerange.Range{}, 0); ok {
+	if res, ok := TimerGapsEv(cat, timerange.Range{}, 0, nil); ok {
 		t.Errorf("false timer %d µs on an ACK-clocked transfer", res.TimerMicros)
 	}
 }
@@ -59,7 +59,7 @@ func TestTimerGapsRejectsSteadyTransfer(t *testing.T) {
 func TestTimerGapsNeedsRepetition(t *testing.T) {
 	// Only two long gaps: not a timer.
 	cat := genCat(pacedBuilder(3, 200_000))
-	if _, ok := TimerGaps(cat, timerange.Range{}, 0); ok {
+	if _, ok := TimerGapsEv(cat, timerange.Range{}, 0, nil); ok {
 		t.Error("timer detected from two gaps")
 	}
 }
@@ -77,7 +77,7 @@ func TestConsecutiveLossesCountsEpisode(t *testing.T) {
 	}
 	b.Ack(tt, mss, 65535)
 	cat := genCat(b)
-	res := ConsecutiveLosses(cat, timerange.Range{}, 0)
+	res := ConsecutiveLossesEv(cat, timerange.Range{}, 0, nil)
 	if res.Episodes != 1 {
 		t.Fatalf("episodes = %d (maxRun=%d)", res.Episodes, res.MaxRun)
 	}
@@ -96,7 +96,7 @@ func TestConsecutiveLossesBelowThreshold(t *testing.T) {
 	b.Data(240_000, 0, mss) // one retransmission
 	b.Ack(250_000, mss, 65535)
 	cat := genCat(b)
-	res := ConsecutiveLosses(cat, timerange.Range{}, 0)
+	res := ConsecutiveLossesEv(cat, timerange.Range{}, 0, nil)
 	if res.Episodes != 0 {
 		t.Errorf("episodes = %d, want 0", res.Episodes)
 	}
@@ -114,10 +114,10 @@ func TestConsecutiveLossesCustomThreshold(t *testing.T) {
 	}
 	b.Ack(2_000_000, mss, 65535)
 	cat := genCat(b)
-	if res := ConsecutiveLosses(cat, timerange.Range{}, 3); res.Episodes != 1 {
+	if res := ConsecutiveLossesEv(cat, timerange.Range{}, 3, nil); res.Episodes != 1 {
 		t.Errorf("episodes at threshold 3 = %d", res.Episodes)
 	}
-	if res := ConsecutiveLosses(cat, timerange.Range{}, 0); res.Episodes != 0 {
+	if res := ConsecutiveLossesEv(cat, timerange.Range{}, 0, nil); res.Episodes != 0 {
 		t.Errorf("episodes at default threshold = %d", res.Episodes)
 	}
 }
@@ -180,7 +180,7 @@ func TestZeroAckBugDetector(t *testing.T) {
 	b.Ack(710_000, 3*mss, 0)
 	b.Ack(900_000, 3*mss, 65535)
 	cat := genCat(b)
-	res, ok := ZeroAckBug(cat)
+	res, ok := ZeroAckBugEv(cat, nil)
 	if !ok || res.Conflict.Empty() {
 		t.Fatal("zero-ack bug not detected")
 	}
@@ -188,7 +188,7 @@ func TestZeroAckBugDetector(t *testing.T) {
 	clean := traceutil.New()
 	clean.Handshake(0, 10_000, mss)
 	clean.SteadyTransfer(20_000, 10_000, 5, 2, 65535)
-	if _, ok := ZeroAckBug(genCat(clean)); ok {
+	if _, ok := ZeroAckBugEv(genCat(clean), nil); ok {
 		t.Error("false zero-ack bug on a clean transfer")
 	}
 }

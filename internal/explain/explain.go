@@ -12,8 +12,8 @@
 // explain-off hot path costs one pointer test and zero allocations
 // (regression-gated by the benchfloor allocs/op ceilings). Recording is a
 // pure function of the connection — no clocks, no map iteration into
-// output — so the rendered evidence is byte-identical at any worker×shard
-// count and with observability on or off.
+// output — so the rendered evidence is byte-identical at any worker count
+// and with observability on or off.
 package explain
 
 import (

@@ -212,17 +212,12 @@ func (r *Report) Dominant() (Group, float64) {
 	return best, r.G[best]
 }
 
-// Analyze scores the catalog over the analysis period. A non-positive
-// threshold selects the paper's default 0.3.
-func Analyze(cat *series.Catalog, period timerange.Range, threshold float64) *Report {
-	return AnalyzeEv(cat, period, threshold, nil)
-}
-
-// AnalyzeEv is Analyze with evidence capture: every factor and group ratio
+// AnalyzeEv scores the catalog over the analysis period. A non-positive
+// threshold selects the paper's default 0.3. Every factor and group ratio
 // records its numerator interval set (the backing series clipped to the
-// period) and denominator, and the major classification records which
-// groups crossed the threshold. A nil Recorder keeps the uninstrumented
-// fast path.
+// period) and denominator in rec, and the major classification records
+// which groups crossed the threshold; a nil Recorder keeps the
+// uninstrumented fast path.
 func AnalyzeEv(cat *series.Catalog, period timerange.Range, threshold float64, rec *explain.Recorder) *Report {
 	if threshold <= 0 {
 		threshold = DefaultMajorThreshold

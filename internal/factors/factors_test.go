@@ -48,7 +48,7 @@ func windowBoundCatalog() (*series.Catalog, timerange.Range) {
 
 func TestPacedTransferIsSenderLimited(t *testing.T) {
 	cat, period := pacedCatalog()
-	rep := Analyze(cat, period, 0)
+	rep := AnalyzeEv(cat, period, 0, nil)
 	if rep.Threshold != DefaultMajorThreshold {
 		t.Errorf("threshold = %v", rep.Threshold)
 	}
@@ -69,7 +69,7 @@ func TestPacedTransferIsSenderLimited(t *testing.T) {
 
 func TestWindowBoundTransferIsReceiverLimited(t *testing.T) {
 	cat, period := windowBoundCatalog()
-	rep := Analyze(cat, period, 0)
+	rep := AnalyzeEv(cat, period, 0, nil)
 	if rep.G.At(GroupReceiver) < 0.5 {
 		t.Errorf("receiver ratio = %.2f (G=%v)", rep.G.At(GroupReceiver), rep.G)
 	}
@@ -84,7 +84,7 @@ func TestWindowBoundTransferIsReceiverLimited(t *testing.T) {
 
 func TestEmptyPeriodYieldsUnknown(t *testing.T) {
 	cat, _ := pacedCatalog()
-	rep := Analyze(cat, timerange.R(5, 5), 0)
+	rep := AnalyzeEv(cat, timerange.R(5, 5), 0, nil)
 	if !rep.Unknown() {
 		t.Error("zero-length period must be unknown")
 	}
@@ -101,7 +101,7 @@ func TestThresholdSweepStability(t *testing.T) {
 	cat, period := pacedCatalog()
 	var prevDominant Group
 	for i, th := range []float64{0.3, 0.4, 0.5} {
-		rep := Analyze(cat, period, th)
+		rep := AnalyzeEv(cat, period, th, nil)
 		g, _ := rep.Dominant()
 		if i > 0 && g != prevDominant {
 			t.Errorf("dominant group changed at threshold %v: %v → %v", th, prevDominant, g)
@@ -112,7 +112,7 @@ func TestThresholdSweepStability(t *testing.T) {
 
 func TestRatiosBounded(t *testing.T) {
 	cat, period := windowBoundCatalog()
-	rep := Analyze(cat, period, 0)
+	rep := AnalyzeEv(cat, period, 0, nil)
 	for f := Factor(0); int(f) < numFactors; f++ {
 		if r := rep.V.At(f); r < 0 || r > 1.0001 {
 			t.Errorf("factor %v ratio %v out of [0,1]", f, r)
@@ -172,7 +172,7 @@ func TestStringers(t *testing.T) {
 
 func TestMajorGroupsSortedDescending(t *testing.T) {
 	cat, period := windowBoundCatalog()
-	rep := Analyze(cat, period, 0.01) // tiny threshold admits several groups
+	rep := AnalyzeEv(cat, period, 0.01, nil) // tiny threshold admits several groups
 	for i := 1; i < len(rep.MajorGroups); i++ {
 		if rep.G.At(rep.MajorGroups[i-1]) < rep.G.At(rep.MajorGroups[i]) {
 			t.Errorf("major groups not sorted: %v with G=%v", rep.MajorGroups, rep.G)

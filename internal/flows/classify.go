@@ -250,13 +250,6 @@ type Options struct {
 	// packets routed) and progress updates when non-nil. It never affects
 	// extraction output.
 	Obs *obs.Obs
-	// ExternalClock tells the Demuxer that its input is one shard's
-	// substream of a globally ordered capture: timestamp regressions are
-	// counted once by the owner of the full stream (core's sharded reader),
-	// so this demuxer must not count them again. Disorder detection for
-	// per-connection re-sorting is unaffected — a regression inside any
-	// connection is always visible within its own shard's substream.
-	ExternalClock bool
 }
 
 // DefaultOptions returns the documented defaults.

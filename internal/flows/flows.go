@@ -178,23 +178,12 @@ type Connection struct {
 	// senderISN anchors relative sequence numbers.
 	senderISN   uint32
 	receiverISN uint32
-	// arrival is the global arrival sequence number of the connection's
-	// first packet (see ArrivalSeq).
-	arrival int64
 }
 
 // Span returns the connection's observation window.
 func (c *Connection) Span() timerange.Range {
 	return timerange.Range{Start: c.Profile.Start, End: c.Profile.End + 1}
 }
-
-// ArrivalSeq returns the global arrival sequence number of the connection's
-// first packet — the position of that packet in the full capture stream.
-// Sharded ingest (core.Config.Shards) splits connections across independent
-// demuxers and restores the single-demuxer output order by sorting merged
-// connections on this value: with one shard it increases exactly in
-// creation-index order, so the merge is byte-identical at any shard count.
-func (c *Connection) ArrivalSeq() int64 { return c.arrival }
 
 // pktTable is the columnar (struct-of-arrays) per-connection packet store.
 // One column per field the analyzer reads keeps the accumulation hot path
@@ -333,12 +322,10 @@ type rawConn struct {
 	// even when the incarnation's own handshake (and any payload) was
 	// never captured — the truncated/no-FIN predecessor case.
 	established bool
-	// idx is the creation index (order of first packet); arrival is the
-	// global arrival sequence of that packet; done marks a connection the
-	// demuxer has already emitted.
-	idx     int
-	arrival int64
-	done    bool
+	// idx is the creation index (order of first packet); done marks a
+	// connection the demuxer has already emitted.
+	idx  int
+	done bool
 }
 
 // Extract groups packets into connections and analyzes each with default
@@ -376,39 +363,6 @@ func ExtractOptsStats(pkts []TimedPacket, opts Options) ([]*Connection, DemuxSta
 		}
 	}
 	return out, d.Stats()
-}
-
-// ShardOf maps a packet to one of n demux shards by a deterministic FNV-1a
-// hash of its canonical connection key, so both directions of a connection
-// (and every analysis run) land on the same shard. n <= 1 always returns 0.
-func ShardOf(pkt *packet.Packet, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	src := Endpoint{Addr: pkt.IP.Src, Port: pkt.TCP.SrcPort}
-	dst := Endpoint{Addr: pkt.IP.Dst, Port: pkt.TCP.DstPort}
-	k := canonicalKey(src, dst)
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(e Endpoint) {
-		a16 := e.Addr.As16()
-		for _, b := range a16 {
-			h = (h ^ uint64(b)) * prime64
-		}
-		h = (h ^ uint64(e.Port&0xFF)) * prime64
-		h = (h ^ uint64(e.Port>>8)) * prime64
-	}
-	mix(k.A)
-	mix(k.B)
-	// FNV-1a's low-order bits avalanche poorly, so structured keys
-	// (consecutive router addresses or ports) collapse onto one residue for
-	// small n. Fold the high bits in before reducing.
-	h ^= h >> 32
-	h ^= h >> 16
-	return int(h % uint64(n))
 }
 
 // timeSorted reports whether pkts is already in non-decreasing time order —
@@ -515,11 +469,11 @@ func (d *Demuxer) Stats() DemuxStats { return d.stats }
 
 // newRawConn registers a fresh raw connection under key k, evicting the
 // oldest tracked connection first when the MaxTracked cap is reached.
-func (d *Demuxer) newRawConn(k Key, arrival int64) *rawConn {
+func (d *Demuxer) newRawConn(k Key) *rawConn {
 	if max := d.opts.MaxTracked; max > 0 && d.open >= max {
 		d.evictOldest()
 	}
-	rc := &rawConn{key: k, tbl: newTable(), idx: len(d.order), arrival: arrival}
+	rc := &rawConn{key: k, tbl: newTable(), idx: len(d.order)}
 	d.index[k] = rc
 	d.order = append(d.order, rc)
 	d.open++
@@ -555,22 +509,11 @@ func (d *Demuxer) evictOldest() {
 // reuse tp.Pkt and the buffers it aliases — the contract the zero-copy
 // ingest path (pcapio.ReadInto + packet.DecodeInto) relies on.
 func (d *Demuxer) Add(tp TimedPacket) {
-	d.AddSeq(d.stats.Packets, tp.Time, tp.Pkt)
-}
-
-// AddSeq is Add with an explicit global arrival sequence number for the
-// packet. Sharded ingest routes each packet to one of several demuxers but
-// numbers packets globally at the reader, so every connection's ArrivalSeq
-// reflects its position in the whole capture rather than one shard's
-// substream; the unsharded path passes the demuxer's own packet count,
-// which is the same thing.
-func (d *Demuxer) AddSeq(seq int64, tm Micros, pkt *packet.Packet) {
+	tm, pkt := tp.Time, tp.Pkt
 	if tm < d.lastTime {
 		d.disorder = true
-		if !d.opts.ExternalClock {
-			d.stats.TimestampRegressions++
-			d.regressC.Inc()
-		}
+		d.stats.TimestampRegressions++
+		d.regressC.Inc()
 	}
 	d.lastTime = tm
 	d.packetsC.Inc()
@@ -582,12 +525,12 @@ func (d *Demuxer) AddSeq(seq int64, tm Micros, pkt *packet.Packet) {
 	fromA := src == k.A
 	rc, ok := d.index[k]
 	if !ok {
-		rc = d.newRawConn(k, seq)
+		rc = d.newRawConn(k)
 	} else if rc.done {
 		// The tuple's tracked connection was evicted under the MaxTracked
 		// cap but traffic keeps coming: start a fresh partial connection
 		// rather than silently dropping the tail.
-		rc = d.newRawConn(k, seq)
+		rc = d.newRawConn(k)
 		d.stats.Resumed++
 		d.resumedC.Inc()
 	}
@@ -606,7 +549,7 @@ func (d *Demuxer) AddSeq(seq int64, tm Micros, pkt *packet.Packet) {
 		if !seen || isn != pkt.TCP.Seq {
 			if seen || rc.sawPayload || rc.established {
 				d.complete(rc) // the old incarnation can get no more packets
-				rc = d.newRawConn(k, seq)
+				rc = d.newRawConn(k)
 			}
 		}
 	}
@@ -721,7 +664,7 @@ func analyze(rc *rawConn, opts Options) *Connection {
 		receiver = rc.key.B
 	}
 
-	c := &Connection{Sender: sender, Receiver: receiver, arrival: rc.arrival}
+	c := &Connection{Sender: sender, Receiver: receiver}
 	c.Profile.Start = t.times[0]
 	c.Profile.End = t.times[t.n()-1]
 	switch {

@@ -457,89 +457,32 @@ func TestTimestampRegressionCounted(t *testing.T) {
 	}
 }
 
-func TestShardOfDirectionInvariant(t *testing.T) {
-	// Both directions of a connection must hash to the same shard, or a
-	// sharded demux would split the conversation.
-	b := &builder{}
-	fwd := b.add(1_000_000, senderEP, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
-	rev := b.add(1_000_100, receiverEP, senderEP, 2000, 1001, packet.FlagSYN|packet.FlagACK, 65535, 0)
-	for _, n := range []int{1, 2, 3, 7, 16} {
-		sf, sr := ShardOf(fwd, n), ShardOf(rev, n)
-		if sf != sr {
-			t.Errorf("n=%d: ShardOf(fwd)=%d ShardOf(rev)=%d, want equal", n, sf, sr)
-		}
-		if sf < 0 || sf >= n {
-			t.Errorf("n=%d: ShardOf out of range: %d", n, sf)
-		}
-	}
-}
-
-func TestShardOfSpreadsConnections(t *testing.T) {
-	// Distinct 4-tuples should not all collapse onto one shard.
-	const n = 4
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		ep := Endpoint{Addr: netip.AddrFrom4([4]byte{10, 2, 0, byte(i + 1)}), Port: 40000 + uint16(i)}
-		b := &builder{}
-		p := b.add(1_000_000, ep, receiverEP, 1, 0, packet.FlagSYN, 65535, 0)
-		seen[ShardOf(p, n)] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("64 distinct connections landed on %d of %d shards", len(seen), n)
-	}
-}
-
-func TestExternalClockSkipsRegressionCount(t *testing.T) {
-	// With ExternalClock the reader owns regression accounting: a shard's
-	// substream has gaps, so its local comparisons would overcount. The
-	// demuxer must still flag per-connection disorder so analysis re-sorts.
-	opts := DefaultOptions()
-	opts.ExternalClock = true
+func TestDisorderedConnectionResorted(t *testing.T) {
+	// A data packet timestamped before its predecessor is counted as one
+	// regression, and the connection's packets are re-sorted by time before
+	// analysis.
 	var got *Connection
-	d := NewDemuxer(opts, func(_ int, c *Connection) { got = c })
+	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { got = c })
 	b := &builder{}
 	b.handshake(1_000_000, 20_000, 1000, 5000, 1460)
 	b.add(1_200_000, senderEP, receiverEP, 1001, 5001, packet.FlagACK, 65535, 100)
 	b.add(1_100_000, senderEP, receiverEP, 1101, 5001, packet.FlagACK, 65535, 100) // regresses
-	for i, tp := range b.pkts {
-		d.AddSeq(int64(i), tp.Time, tp.Pkt)
+	for _, tp := range b.pkts {
+		d.Add(tp)
 	}
 	d.Finish()
-	if s := d.Stats(); s.TimestampRegressions != 0 {
-		t.Errorf("TimestampRegressions = %d, want 0 under ExternalClock", s.TimestampRegressions)
+	if s := d.Stats(); s.TimestampRegressions != 1 {
+		t.Errorf("TimestampRegressions = %d, want 1", s.TimestampRegressions)
 	}
 	if got == nil {
 		t.Fatal("connection not completed")
 	}
-	// Despite the regression the analysis must see time-sorted packets.
+	if len(got.Data) != 2 {
+		t.Fatalf("got %d data events, want 2", len(got.Data))
+	}
 	for i := 1; i < len(got.Data); i++ {
 		if got.Data[i].Time < got.Data[i-1].Time {
 			t.Fatalf("data events not time-sorted at %d", i)
 		}
-	}
-}
-
-func TestArrivalSeqReflectsFirstPacket(t *testing.T) {
-	// ArrivalSeq carries the global sequence number of a connection's first
-	// packet — the key the sharded merge sorts on.
-	other := Endpoint{Addr: netip.MustParseAddr("10.9.9.9"), Port: 33000}
-	var conns []*Connection
-	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { conns = append(conns, c) })
-	b := &builder{}
-	b.add(1_000_000, senderEP, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
-	b.add(1_000_500, other, receiverEP, 7000, 0, packet.FlagSYN, 65535, 0)
-	b.add(1_001_000, senderEP, receiverEP, 1001, 1, packet.FlagACK, 65535, 100)
-	// Hand out sparse sequence numbers, as a shard substream would see.
-	seqs := []int64{10, 25, 11}
-	for i, tp := range b.pkts {
-		d.AddSeq(seqs[i], tp.Time, tp.Pkt)
-	}
-	d.Finish()
-	if len(conns) != 2 {
-		t.Fatalf("got %d connections, want 2", len(conns))
-	}
-	got := map[int64]bool{conns[0].ArrivalSeq(): true, conns[1].ArrivalSeq(): true}
-	if !got[10] || !got[25] {
-		t.Errorf("ArrivalSeqs = %v, want {10, 25}", got)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // summary for each, computed to a cycle-tolerant fixpoint before any
 // analyzer runs. Summaries are keyed by a stable string ID rather than
 // object identity because each package is type-checked separately — the
-// *types.Func an importer materializes for flows.AddSeq is not the same
+// *types.Func an importer materializes for flows.Demuxer.Add is not the same
 // object the flows package's own check produced.
 type Program struct {
 	pkgs []*Package

@@ -418,10 +418,10 @@ func Decode(frame []byte) (*Packet, error) {
 //
 // Buffer ownership: every byte-slice field of p aliases frame, so p is only
 // valid while frame's contents are. Callers that reuse the frame buffer
-// (pcapio.Reader.ReadInto, the sharded ingest batches) must consume or copy
-// what they need from p before the next read; the flows demuxer does this
-// by copying payload bytes into its per-connection arena. Callers that need
-// a self-contained packet use Decode, which copies.
+// (pcapio.Reader.ReadInto and EachInto) must consume or copy what they
+// need from p before the next read; the flows demuxer does this by copying
+// payload bytes into its per-connection arena. Callers that need a
+// self-contained packet use Decode, which copies.
 //
 // Decode is retained verbatim as the reference decoder: FuzzDecodeEquiv
 // asserts both decoders accept the same inputs and produce identical

@@ -23,16 +23,17 @@ floors=$(dirname "$0")/benchfloor.txt
 mkdir -p "$dir"
 raw="$dir/bench.txt"
 
-# Pipeline throughput + shard sweep (root package), then the zero-copy
-# microbenchmarks, then the MRT archive path (tdat -mrt). -benchtime counts both in iterations-or-seconds; 1s is
-# enough for stable allocs/op, which is what the tight floors gate. The
-# output goes to the file first and is shown after: piping into tee would
-# hide a failing benchmark behind tee's exit status (POSIX sh has no
-# pipefail).
+# Pipeline throughput from packets and from a streamed capture, and flow
+# extraction (root package), then the zero-copy microbenchmarks, then the
+# MRT archive path (tdat -mrt). -benchtime counts both in
+# iterations-or-seconds; 1s is enough for stable allocs/op, which is what
+# the tight floors gate. The output goes to the file first and is shown
+# after: piping into tee would hide a failing benchmark behind tee's exit
+# status (POSIX sh has no pipefail).
 status=0
 {
 	go test -run '^$' \
-		-bench 'BenchmarkAnalyzeParallel$|BenchmarkAnalyzeParallelStream$|BenchmarkAnalyzeParallelSharded$|BenchmarkFlowExtraction$' \
+		-bench 'BenchmarkAnalyzeParallel$|BenchmarkAnalyzeParallelStream$|BenchmarkFlowExtraction$' \
 		-benchmem -benchtime 1s . &&
 		go test -run '^$' -bench 'BenchmarkDecodeInto$|BenchmarkDecodeReference$' \
 			-benchmem -benchtime 1s ./internal/packet &&
