@@ -5,11 +5,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"tdat/internal/flows"
 	"tdat/internal/packet"
+	"tdat/internal/tracegen"
 	"tdat/internal/traceutil"
 )
 
@@ -144,6 +146,51 @@ func TestStrictAcceptsCleanTrace(t *testing.T) {
 	}
 	if !strict.Degradation.Empty() {
 		t.Errorf("clean trace reported degradation: %+v", strict.Degradation)
+	}
+}
+
+// TestLongerRetransmissionIsNoConcession: the sender of upstream-loss
+// session 512010 retransmits a segment longer than its first copy, and only
+// the longer copy carries the tail. The capture is complete, so every
+// message must be recovered and nothing conceded.
+func TestLongerRetransmissionIsNoConcession(t *testing.T) {
+	tr := tracegen.Run(tracegen.Scenario{Kind: tracegen.KindUpstreamLoss, Routes: 1500, Seed: 512010})
+	data, _ := writePcap(t, tr.Packets(), 0)
+	rep, err := New(Config{Workers: 1}).AnalyzePcap(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Transfers) != 1 {
+		t.Fatalf("%d transfers, want 1", len(rep.Transfers))
+	}
+	if tr := rep.Transfers[0]; tr.Messages != 377 || tr.ReassemblyError != "" {
+		t.Errorf("%d messages, reassembly error %q; want 377", tr.Messages, tr.ReassemblyError)
+	}
+	if !rep.Degradation.Empty() {
+		t.Errorf("complete capture reported degradation: %+v", rep.Degradation)
+	}
+}
+
+// TestPreAnchorRetransmissionAnalyzed: a capture that starts after the
+// sender's first two data segments, then catches a late retransmission of
+// the second one, whose bytes all predate the stream's anchor. The
+// connection must be analyzed, not fail.
+func TestPreAnchorRetransmissionAnalyzed(t *testing.T) {
+	pkts := tracegen.Run(tracegen.Scenario{Kind: tracegen.KindClean, Seed: 11, Routes: 2_000}).Packets()
+	var data []int
+	for i, tp := range pkts {
+		if tp.Pkt.TCP.SrcPort == 179 && len(tp.Pkt.Payload) > 0 {
+			data = append(data, i)
+		}
+	}
+	retx := *pkts[data[1]].Pkt
+	late := flows.TimedPacket{Time: pkts[len(pkts)-1].Time + 1_000, Pkt: &retx}
+	rep := New(Config{Workers: 1}).AnalyzePackets(append(slices.Clone(pkts[data[2]:]), late))
+	if len(rep.Failures) != 0 || len(rep.Transfers) != 1 {
+		t.Fatalf("%d transfers, failures %+v; want one transfer", len(rep.Transfers), rep.Failures)
+	}
+	if tr := rep.Transfers[0]; tr.ReassemblyError != "" || tr.Messages == 0 {
+		t.Errorf("%d messages, reassembly error %q", tr.Messages, tr.ReassemblyError)
 	}
 }
 

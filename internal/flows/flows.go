@@ -331,18 +331,13 @@ type rawConn struct {
 // Extract groups packets into connections and analyzes each with default
 // options. Connections are returned in order of first packet.
 func Extract(pkts []TimedPacket) []*Connection {
-	return ExtractOpts(pkts, DefaultOptions())
-}
-
-// ExtractOpts is Extract with explicit classification options.
-func ExtractOpts(pkts []TimedPacket, opts Options) []*Connection {
-	conns, _ := ExtractOptsStats(pkts, opts)
+	conns, _ := ExtractOptsStats(pkts, DefaultOptions())
 	return conns
 }
 
-// ExtractOptsStats is ExtractOpts exposing the demuxer's degradation
-// statistics (evictions, resumed connections, timestamp regressions)
-// alongside the connections.
+// ExtractOptsStats is Extract with explicit classification options, also
+// returning the demuxer's degradation statistics (evictions, resumed
+// connections, timestamp regressions).
 func ExtractOptsStats(pkts []TimedPacket, opts Options) ([]*Connection, DemuxStats) {
 	sorted := pkts
 	if !timeSorted(pkts) {
@@ -389,7 +384,7 @@ func timeSorted(pkts []TimedPacket) bool {
 // them). Input that turns out to be time-disordered is tolerated: each
 // connection's packets are re-sorted before analysis, though connection
 // grouping then follows arrival order rather than time order —
-// ExtractOpts pre-sorts, so the slice path is unaffected.
+// ExtractOptsStats pre-sorts, so the slice path is unaffected.
 //
 // emit runs in the caller's goroutine (inside Add or Finish) and receives
 // the connection's creation index — the order of its first packet — which

@@ -185,7 +185,7 @@ func TestDisableReorderFilterAblation(t *testing.T) {
 	b.handshake(0, 10_000, 0, 0, 1460)
 	b.add(20_500, senderEP, receiverEP, 1, 1, packet.FlagACK, 65535, 1460)
 	b.add(20_000, senderEP, receiverEP, 1461, 1, packet.FlagACK, 65535, 1460)
-	conns := ExtractOpts(b.pkts, Options{DisableReorderFilter: true})
+	conns, _ := ExtractOptsStats(b.pkts, Options{DisableReorderFilter: true})
 	if conns[0].UpstreamLoss.Empty() {
 		t.Error("with the filter disabled, reordering must count as upstream loss")
 	}

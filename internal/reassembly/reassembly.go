@@ -8,9 +8,7 @@ package reassembly
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -21,7 +19,8 @@ import (
 )
 
 // Message is one BGP message recovered from the stream, stamped with the
-// arrival time of the packet that completed it.
+// time at which the stream through its last byte first became contiguous
+// at the sniffer.
 type Message struct {
 	Time timerange.Micros
 	Msg  bgp.Message
@@ -49,7 +48,7 @@ type Result struct {
 	LooksLikeBGP bool
 }
 
-// span records when the stream bytes up to end first became available.
+// span records when the stream bytes up to end first became contiguous.
 type span struct {
 	end  int64
 	time timerange.Micros
@@ -73,43 +72,11 @@ func Reassemble(c *flows.Connection) (*Result, error) {
 	return ReassembleOpts(c, Options{KeepRaw: true})
 }
 
-// ReassembleLimited is Reassemble with a cap on the linearized stream:
-// at most maxBytes of the contiguous prefix are materialized and decoded
-// (0 means unlimited). A hostile capture whose sequence numbers claim a
-// multi-gigabyte contiguous stream then costs at most maxBytes of memory;
-// what the cap cut off is reported in Result.TruncatedBytes.
-func ReassembleLimited(c *flows.Connection, maxBytes int64) (*Result, error) {
-	return ReassembleOpts(c, Options{MaxBytes: maxBytes, KeepRaw: true})
-}
-
-// seg is one first-arrival payload at a stream offset.
-type seg struct {
-	off  int64
-	data []byte
-	time timerange.Micros
-}
-
 // streamPool recycles the linearization buffer across connections: neither
 // the parsed messages nor the scanned keys alias it (bgp.Parse copies what
 // it keeps, Raw is an explicit copy, keys are values), so each buffer can be
 // handed to the next connection once its result is built.
 var streamPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// fitStream resizes the leased buffer *bp to n bytes, zeroed unless the
-// caller promises to overwrite every byte. Zeroing matters when coverage
-// has holes: a longer duplicate of a segment start may have been
-// deduplicated away, and bytes only the duplicate covered must read as
-// zero — the same bytes a freshly allocated buffer would have shown.
-func fitStream(bp *[]byte, n int64, fullyCovered bool) {
-	if int64(cap(*bp)) < n {
-		*bp = make([]byte, n)
-		return
-	}
-	*bp = (*bp)[:n]
-	if !fullyCovered {
-		clear(*bp)
-	}
-}
 
 // ReassembleOpts is Reassemble with explicit options.
 func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
@@ -144,7 +111,7 @@ func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
 // only when each UPDATE arrived and what it announced. It linearizes the
 // same stream, capped at maxBytes (0 means unlimited), and validates it
 // with bgp.ScanStream instead of parsing it: each UPDATE carrying NLRI is
-// appended to ks with its arrival time, and no bgp.Message is built. It
+// appended to ks with its Message time, and no bgp.Message is built. It
 // returns the whole messages validated (what len(Result.Messages) would
 // be) and the same error as ReassembleOpts; res.Messages stays empty. ks is
 // the caller's and is appended to, never retained.
@@ -170,100 +137,64 @@ func framingError(consumed int, err error) error {
 
 // linearize copies the contiguous prefix of c's sender stream, capped at
 // maxBytes (0 means unlimited), into *streamBuf, a buffer the caller leased
-// from streamPool. It fills res's coverage fields and returns the arrival
-// spans that timestamp stream positions (see timeAt).
+// from streamPool. It fills res's coverage fields and returns the spans
+// that timestamp stream positions (see timeAt).
+//
+// The rule is Stream's, so batch and online reassembly agree byte for byte
+// and time for time: each stream byte keeps its first captured arrival, and
+// a message is stamped with the time at which the prefix through its last
+// byte first became contiguous at the sniffer. Bytes before offset 0 are
+// history from before a mid-stream capture's anchor and are ignored.
 func linearize(c *flows.Connection, maxBytes int64, res *Result, streamBuf *[]byte) []span {
-	segs := make([]seg, 0, len(c.Data))
-	covered := timerange.NewSet()
-	var limit int64
+	// Walk the segments in capture order, noting each time the contiguous
+	// prefix [0, contig) grows: the spans come out sorted by end.
+	var covered timerange.Set
+	spans := make([]span, 0, len(c.Data))
+	var contig int64
 	for i := range c.Data {
 		d := &c.Data[i]
-		if d.Len == 0 {
-			continue
+		covered.Add(timerange.R(max(d.Seq, 0), d.SeqEnd))
+		if first, ok := covered.CoveringRange(0); ok && first.End > contig {
+			contig = first.End
+			spans = append(spans, span{end: contig, time: d.Time})
 		}
-		payload := d.Payload
-		if payload == nil {
-			payload = make([]byte, d.Len) // length-only traces
-		}
-		segs = append(segs, seg{off: d.Seq, data: payload, time: d.Time})
-		covered.Add(timerange.R(d.Seq, d.SeqEnd))
-		if d.SeqEnd > limit {
-			limit = d.SeqEnd
-		}
-	}
-	if limit == 0 {
-		*streamBuf = (*streamBuf)[:0]
-		return nil
-	}
-	contig := int64(0)
-	if covered.Len() > 0 && covered.At(0).Start == 0 {
-		contig = covered.At(0).End
 	}
 	res.StreamBytes = contig
-	res.MissingRanges = covered.Complement(timerange.R(0, limit)).Ranges()
+	if all, ok := covered.Bounds(); ok {
+		res.MissingRanges = covered.Complement(timerange.R(0, all.End)).Ranges()
+	}
 	if maxBytes > 0 && contig > maxBytes {
 		res.TruncatedBytes = contig - maxBytes
 		contig = maxBytes
 	}
 
-	// Linearize the contiguous prefix, remembering per-segment arrival
-	// boundaries for message timestamping. Segments are copied in ascending
-	// offset order (they usually already are — capture order), so
-	// overlapping segments with inconsistent payloads in an adversarial
-	// trace still linearize deterministically. First arrival wins at each
-	// offset — retransmissions carry identical bytes — and the stable sort
-	// keeps arrivals at one offset in capture order, first arrival first.
-	byOffset := func(a, b seg) int { return cmp.Compare(a.off, b.off) }
-	if !slices.IsSortedFunc(segs, byOffset) {
-		slices.SortStableFunc(segs, byOffset)
+	// Copy in reverse capture order, so earlier arrivals overwrite later
+	// ones. The segments cover every byte of [0, contig), so a recycled
+	// buffer never needs zeroing.
+	if int64(cap(*streamBuf)) < contig {
+		*streamBuf = make([]byte, contig)
 	}
-	segs = slices.CompactFunc(segs, func(a, b seg) bool { return a.off == b.off })
-	// The copy loop below overwrites every byte of [0, contig) iff the kept
-	// first-arrival segments leave no hole — the usual case, which lets
-	// fitStream skip zeroing a recycled buffer.
-	var keptTo int64
-	for _, s := range segs {
-		if s.off > keptTo {
-			break
+	stream := (*streamBuf)[:contig]
+	*streamBuf = stream
+	for i := len(c.Data) - 1; i >= 0; i-- {
+		d := &c.Data[i]
+		lo, hi := max(d.Seq, 0), min(d.SeqEnd, contig)
+		switch {
+		case lo >= hi: // nothing in the prefix
+		case d.Payload == nil:
+			clear(stream[lo:hi]) // length-only traces
+		default:
+			copy(stream[lo:hi], d.Payload[lo-d.Seq:])
 		}
-		if end := s.off + int64(len(s.data)); end > keptTo {
-			keptTo = end
-		}
-	}
-	fitStream(streamBuf, contig, keptTo >= contig)
-	stream := *streamBuf
-	spans := make([]span, 0, len(segs))
-	for _, s := range segs {
-		if s.off >= contig {
-			continue
-		}
-		end := s.off + int64(len(s.data))
-		if end > contig {
-			end = contig
-		}
-		copy(stream[s.off:end], s.data[:end-s.off])
-		spans = append(spans, span{end: end, time: s.time})
-	}
-	// Capture order usually leaves the spans sorted already, and sort.Slice
-	// would leave sorted input as it is (ties included), so skip its
-	// allocations then.
-	if !slices.IsSortedFunc(spans, func(a, b span) int { return cmp.Compare(a.end, b.end) }) {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].end < spans[j].end })
 	}
 
 	res.LooksLikeBGP = len(stream) >= len(bgpMarker) && bytes.Equal(stream[:len(bgpMarker)], bgpMarker)
 	return spans
 }
 
-// timeAt returns the arrival time of the segment containing stream position
-// pos-1, i.e. when the message ending at pos became complete.
+// timeAt returns when the stream through position pos-1 first became
+// contiguous, i.e. when the message ending at pos became complete; pos
+// lies in the linearized prefix, so some span reaches it.
 func timeAt(spans []span, pos int64) timerange.Micros {
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].end >= pos })
-	if i < len(spans) {
-		return spans[i].time
-	}
-	if len(spans) > 0 {
-		return spans[len(spans)-1].time
-	}
-	return 0
+	return spans[sort.Search(len(spans), func(i int) bool { return spans[i].end >= pos })].time
 }

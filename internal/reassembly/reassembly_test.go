@@ -1,6 +1,8 @@
 package reassembly
 
 import (
+	"bytes"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"tdat/internal/flows"
 	"tdat/internal/mct"
 	"tdat/internal/packet"
+	"tdat/internal/tracegen"
 )
 
 var (
@@ -18,7 +21,7 @@ var (
 
 // bgpStream builds a serialized stream of n updates plus a leading OPEN and
 // KEEPALIVE, returning the bytes and the message count.
-func bgpStream(t *testing.T, n int) []byte {
+func bgpStream(t testing.TB, n int) []byte {
 	t.Helper()
 	var stream []byte
 	open := &bgp.Open{AS: 7018, HoldTime: 180, Identifier: netip.MustParseAddr("10.0.0.1")}
@@ -64,6 +67,81 @@ func packetsFor(stream []byte, segSize int, times func(i int) flows.Micros) []fl
 		pkts = append(pkts, flows.TimedPacket{Time: times(i), Pkt: p})
 	}
 	return pkts
+}
+
+// piece is one captured segment: stream bytes [off, off+n).
+type piece struct{ off, n int }
+
+// pieces splits stream bytes [from, to) into size-byte pieces, in order.
+func pieces(from, to, size int) []piece {
+	var out []piece
+	for off := from; off < to; off += size {
+		out = append(out, piece{off, min(size, to-off)})
+	}
+	return out
+}
+
+// capture lays stream out as one sender packet per piece, in capture order,
+// one every millisecond. With syn set, the sender's SYN and the receiver's
+// SYN-ACK open the capture and pin both ISNs; without them the capture
+// starts mid-stream, and the first piece anchors the stream. The sender's
+// sequence numbers wrap 1 KiB into the stream.
+func capture(stream []byte, syn bool, layout []piece) []flows.TimedPacket {
+	const isn, rcvISN = 0xFFFF_FC00, 5000
+	var pkts []flows.TimedPacket
+	add := func(t flows.Micros, src, dst flows.Endpoint, seq, ack uint32, flags uint8, payload []byte) {
+		pkts = append(pkts, flows.TimedPacket{Time: t, Pkt: &packet.Packet{
+			IP: packet.IPv4{ID: uint16(len(pkts) + 1), Src: src.Addr, Dst: dst.Addr},
+			TCP: packet.TCP{
+				SrcPort: src.Port, DstPort: dst.Port,
+				Seq: seq, Ack: ack, Flags: flags, Window: 65535,
+			},
+			Payload: payload,
+		}})
+	}
+	if syn {
+		add(0, sndEP, rcvEP, isn, 0, packet.FlagSYN, nil)
+		add(1, rcvEP, sndEP, rcvISN, isn+1, packet.FlagSYN|packet.FlagACK, nil)
+	}
+	for i, p := range layout {
+		add(flows.Micros(i+1)*1000, sndEP, rcvEP, isn+1+uint32(p.off), rcvISN+1, packet.FlagACK,
+			append([]byte(nil), stream[p.off:p.off+p.n]...))
+	}
+	return pkts
+}
+
+// matchesStream holds ReassembleOpts and ScanKeys to Stream, the online
+// reassembler fed the connection's sender packets in capture order: the
+// same messages, each with the same wire bytes and the same time. It
+// returns the message count.
+func matchesStream(t *testing.T, pkts []flows.TimedPacket) int {
+	t.Helper()
+	c := extractOne(t, pkts)
+	want, err := feedStream(t, c.Sender, pkts)
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	got, err := ReassembleOpts(c, Options{KeepRaw: true})
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if len(got.Messages) != len(want) {
+		t.Fatalf("batch recovered %d messages, stream %d", len(got.Messages), len(want))
+	}
+	for i, w := range want {
+		if g := got.Messages[i]; !bytes.Equal(g.Raw, w.Raw) || g.Time != w.Time {
+			t.Fatalf("message %d: batch has %d bytes at %d µs, stream %d bytes at %d µs",
+				i, len(g.Raw), g.Time, len(w.Raw), w.Time)
+		}
+	}
+	ks := &mct.KeyStream{Keys: []uint64{42}}
+	if _, msgs, err := ScanKeys(c, 0, ks); err != nil || msgs != len(want) {
+		t.Fatalf("scan: %d messages, error %v; stream: %d messages", msgs, err, len(want))
+	}
+	if wantKS := keysOf(want); !reflect.DeepEqual(ks, wantKS) {
+		t.Fatalf("scanned key stream %+v, want the stream's %+v", ks, wantKS)
+	}
+	return len(want)
 }
 
 func extractOne(t *testing.T, pkts []flows.TimedPacket) *flows.Connection {
@@ -207,7 +285,7 @@ func TestReassembleLimitedTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := full.StreamBytes / 2
-	res, err := ReassembleLimited(c, cap)
+	res, err := ReassembleOpts(c, Options{MaxBytes: cap, KeepRaw: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +306,7 @@ func TestReassembleNonBGPNotFlagged(t *testing.T) {
 	// "damaged BGP" from "not BGP at all".
 	payload := make([]byte, 64) // zeros: no marker, framing fails
 	pkts := packetsFor(payload, 64, func(i int) flows.Micros { return flows.Micros(i) })
-	res, err := ReassembleLimited(extractOne(t, pkts), 0)
+	res, err := ReassembleOpts(extractOne(t, pkts), Options{KeepRaw: true})
 	if err == nil {
 		t.Fatal("zero-filled stream framed as BGP")
 	}
@@ -237,8 +315,55 @@ func TestReassembleNonBGPNotFlagged(t *testing.T) {
 	}
 }
 
+// longerCopy captures a stream in 200-byte segments, except that the
+// segment at 800 never arrives on its own: a 400-byte retransmission at
+// 600, captured while the first copy at 600 waits behind the hole at 400,
+// is the only carrier of [800, 1000).
+func longerCopy(stream []byte) []piece {
+	layout := []piece{{0, 200}, {200, 200}, {600, 200}, {600, 400}, {400, 200}}
+	return append(layout, pieces(1000, len(stream), 200)...)
+}
+
+// midStream captures a bgpStream from its first UPDATE on, in 200-byte
+// segments: the OPEN and KEEPALIVE segments predate the capture, and the
+// KEEPALIVE's late retransmission carries only bytes from before the
+// anchor.
+func midStream(stream []byte) []piece {
+	const open, keepalive = 29, 19
+	return append(pieces(open+keepalive, len(stream), 200), piece{open, keepalive})
+}
+
+// upstreamLoss512010 is a simulated session whose sender retransmits
+// [5898,7329) as [5898,7358) after an upstream loss, with no other segment
+// carrying [7329,7358).
+var upstreamLoss512010 = tracegen.Scenario{Kind: tracegen.KindUpstreamLoss, Routes: 1500, Seed: 512010}
+
+// TestLinearizeMatchesStreamOnTracegen holds batch reassembly to Stream on
+// simulated sessions whose captures retransmit, reorder and leave holes,
+// and requires every message of each.
+func TestLinearizeMatchesStreamOnTracegen(t *testing.T) {
+	scenarios := []tracegen.Scenario{upstreamLoss512010}
+	for _, kind := range []tracegen.Kind{
+		tracegen.KindUpstreamLoss, tracegen.KindDownstreamLoss, tracegen.KindZeroAckBug,
+		tracegen.KindSmallWindow, tracegen.KindSlowReceiver,
+	} {
+		for seed := int64(7000); seed < 7040; seed++ {
+			scenarios = append(scenarios, tracegen.Scenario{Kind: kind, Routes: 1500, Seed: seed})
+		}
+	}
+	for _, sc := range scenarios {
+		t.Run(fmt.Sprintf("%v/%d", sc.Kind, sc.Seed), func(t *testing.T) {
+			if n := matchesStream(t, tracegen.Run(sc).Packets()); n != 377 {
+				t.Errorf("%d messages, want 377", n)
+			}
+		})
+	}
+}
+
 // TestScanKeysMatchesReassemble holds ScanKeys to ReassembleOpts on clean,
-// reordered, retransmitted, holed, capped and non-BGP streams: the same
+// reordered, retransmitted, holed, capped and non-BGP streams, on a longer
+// retransmission at a held offset and on bytes from before a mid-stream
+// anchor: the same
 // coverage report, message count and error, and exactly the timed NLRI of
 // the parsed UPDATEs. The key stream starts non-empty, so the key ranges
 // must index the whole buffer, not just what this call appended.
@@ -267,6 +392,9 @@ func TestScanKeysMatchesReassemble(t *testing.T) {
 		{"hole", holed, 0},
 		{"capped", packetsFor(stream, 200, at), int64(len(stream) / 2)},
 		{"garbage", packetsFor(junk, 50, at), 0},
+		{"longer-copy", capture(stream, true, longerCopy(stream)), 0},
+		{"pre-anchor", capture(stream, false, midStream(stream)), 0},
+		{"upstream-loss-512010", tracegen.Run(upstreamLoss512010).Packets(), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -280,20 +408,13 @@ func TestScanKeysMatchesReassemble(t *testing.T) {
 			if err == nil && msgs != len(want.Messages) {
 				t.Errorf("messages = %d, want %d", msgs, len(want.Messages))
 			}
+			wantKS := keysOf(want.Messages)
 			want.Messages = nil
 			if !reflect.DeepEqual(&got, want) {
 				t.Errorf("result %+v, want %+v", got, *want)
 			}
 			if err != nil {
 				return
-			}
-			wantKS := &mct.KeyStream{Keys: []uint64{42}}
-			for _, m := range reassembledUpdates(t, c, tc.maxBytes) {
-				start := len(wantKS.Keys)
-				for _, p := range m.NLRI {
-					wantKS.Keys = append(wantKS.Keys, bgp.PrefixKey(p))
-				}
-				wantKS.Updates = append(wantKS.Updates, mct.KeyUpdate{Time: m.Time, Start: start, End: len(wantKS.Keys)})
 			}
 			if !reflect.DeepEqual(ks, wantKS) {
 				t.Errorf("key stream %+v, want %+v", ks, wantKS)
@@ -302,24 +423,18 @@ func TestScanKeysMatchesReassemble(t *testing.T) {
 	}
 }
 
-// timedUpdate is a parsed UPDATE that announced prefixes, with its time.
-type timedUpdate struct {
-	Time flows.Micros
-	NLRI []bgp.Prefix
-}
-
-// reassembledUpdates returns the announcing UPDATEs ReassembleOpts recovers.
-func reassembledUpdates(t *testing.T, c *flows.Connection, maxBytes int64) []timedUpdate {
-	t.Helper()
-	res, err := ReassembleOpts(c, Options{MaxBytes: maxBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []timedUpdate
-	for _, m := range res.Messages {
+// keysOf is the key stream ScanKeys builds from msgs after a placeholder
+// key: each UPDATE that announces prefixes, with its time and key range.
+func keysOf(msgs []Message) *mct.KeyStream {
+	ks := &mct.KeyStream{Keys: []uint64{42}}
+	for _, m := range msgs {
 		if u, ok := m.Msg.(*bgp.Update); ok && len(u.NLRI) > 0 {
-			out = append(out, timedUpdate{m.Time, u.NLRI})
+			start := len(ks.Keys)
+			for _, p := range u.NLRI {
+				ks.Keys = append(ks.Keys, bgp.PrefixKey(p))
+			}
+			ks.Updates = append(ks.Updates, mct.KeyUpdate{Time: m.Time, Start: start, End: len(ks.Keys)})
 		}
 	}
-	return out
+	return ks
 }

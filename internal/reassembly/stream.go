@@ -85,25 +85,27 @@ func (s *Stream) segment(t timerange.Micros, off int64, payload []byte) error {
 		return nil // pure retransmission of delivered bytes
 	}
 	if off > s.next {
-		// Hold out of order (first copy wins).
-		if _, dup := s.ooo[off]; !dup {
-			cp := append([]byte(nil), payload...)
-			s.ooo[off] = cp
-			s.oooLen += len(cp)
-			if s.oooLen+len(s.buf) > s.limit() {
-				if !s.Evict {
-					return fmt.Errorf("%w: %d bytes held at a hole before offset %d",
-						ErrBufferLimit, s.oooLen, s.next)
-				}
-				// Abandon holes oldest-first until buffering fits again;
-				// each round frees the skipped range plus whatever frames
-				// out of the segments the skip made contiguous.
-				for s.oooLen+len(s.buf) > s.limit() && s.oooLen > 0 {
-					s.evictOldestHole()
-					s.drain()
-					if err := s.frame(t); err != nil {
-						return err
-					}
+		// Hold out of order. The first copy's bytes win; a longer copy at
+		// the same offset adds only its tail.
+		held := s.ooo[off]
+		if len(payload) <= len(held) {
+			return nil
+		}
+		s.ooo[off] = append(held, payload[len(held):]...)
+		s.oooLen += len(payload) - len(held)
+		if s.oooLen+len(s.buf) > s.limit() {
+			if !s.Evict {
+				return fmt.Errorf("%w: %d bytes held at a hole before offset %d",
+					ErrBufferLimit, s.oooLen, s.next)
+			}
+			// Abandon holes oldest-first until buffering fits again; each
+			// round frees the skipped range plus whatever frames out of
+			// the segments the skip made contiguous.
+			for s.oooLen+len(s.buf) > s.limit() && s.oooLen > 0 {
+				s.evictOldestHole()
+				s.drain()
+				if err := s.frame(t); err != nil {
+					return err
 				}
 			}
 		}

@@ -1,7 +1,10 @@
 package reassembly
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"tdat/internal/bgp"
@@ -9,14 +12,16 @@ import (
 	"tdat/internal/packet"
 )
 
-// feedStream pushes the builder's sender-direction packets through a Stream
-// in slice order and returns the emitted messages.
-func feedStream(t *testing.T, pkts []flows.TimedPacket) ([]Message, error) {
+// feedStream pushes sender's packets through a Stream in slice order and
+// returns the emitted messages. The stream buffers without limit, so only
+// a framing error fails it.
+func feedStream(t *testing.T, sender flows.Endpoint, pkts []flows.TimedPacket) ([]Message, error) {
 	t.Helper()
 	var msgs []Message
 	s := NewStream(func(m Message) { msgs = append(msgs, m) })
+	s.Limit = math.MaxInt
 	for _, tp := range pkts {
-		if tp.Pkt.IP.Src != sndEP.Addr {
+		if tp.Pkt.IP.Src != sender.Addr || tp.Pkt.TCP.SrcPort != sender.Port {
 			continue
 		}
 		if err := s.Packet(tp.Time, tp.Pkt); err != nil {
@@ -64,7 +69,7 @@ func TestStreamOutOfOrderAndRetransmission(t *testing.T) {
 	reordered = append(reordered, pkts...)
 	reordered = append(reordered, flows.TimedPacket{Time: 999_000, Pkt: &dup})
 
-	msgs, err := feedStream(t, reordered)
+	msgs, err := feedStream(t, sndEP, reordered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,28 +164,89 @@ func TestStreamGarbageReportsFramingError(t *testing.T) {
 	}
 }
 
-func TestStreamMatchesOfflineReassembly(t *testing.T) {
-	// Property: online and offline reassembly recover the same messages.
-	stream := bgpStream(t, 25)
-	pkts := packetsFor(stream, 150, func(i int) flows.Micros { return flows.Micros(i) * 500 })
-	pkts[4], pkts[5] = pkts[5], pkts[4]
+// layoutCase is one capture of a stream: its pieces in capture order,
+// whether a SYN opens it, and how many messages it yields.
+type layoutCase struct {
+	name string
+	syn  bool
+	pcs  []piece
+	want int
+}
 
-	online, err := feedStream(t, pkts)
-	if err != nil {
-		t.Fatal(err)
+// layouts are captures of one 32-message stream in 200-byte segments that
+// batch and online reassembly must agree on, byte for byte and time for
+// time.
+func layouts(stream []byte) []layoutCase {
+	all := func() []piece { return pieces(0, len(stream), 200) }
+	swapped := all()
+	swapped[2], swapped[3] = swapped[3], swapped[2]
+	reversed := all()
+	slices.Reverse(reversed)
+	holed := func(from, to int) []piece {
+		return append(pieces(0, from, 200), pieces(to, len(stream), 200)...)
 	}
-	offline, err := Reassemble(extractOne(t, pkts))
-	if err != nil {
-		t.Fatal(err)
+	return []layoutCase{
+		{"in-order", true, all(), 32},
+		{"disorder", true, swapped, 32},
+		{"reversed", true, reversed, 32},
+		{"late-gap-fill", true, append(holed(400, 600), piece{400, 200}), 32},
+		{"overlap", true, append(holed(400, 600), piece{300, 400}), 32},
+		{"same-offset-longer", true, longerCopy(stream), 32},
+		{"same-offset-shorter", true, append([]piece{{0, 200}, {600, 400}, {600, 200}, {200, 200}, {400, 200}},
+			pieces(1000, len(stream), 200)...), 32},
+		{"retransmit", true, append(all(), piece{600, 200}), 32},
+		{"hole", true, holed(600, 800), 14},
+		{"pre-anchor", false, midStream(stream), 30},
+		{"straddles-anchor", false, append(midStream(stream), piece{29, 219}), 30},
 	}
-	if len(online) != len(offline.Messages) {
-		t.Fatalf("online %d vs offline %d messages", len(online), len(offline.Messages))
+}
+
+// TestStreamMatchesOfflineReassembly holds batch reassembly to Stream, fed
+// in capture order, on every layout: the same messages, each with the same
+// wire bytes and time.
+func TestStreamMatchesOfflineReassembly(t *testing.T) {
+	stream := bgpStream(t, 30)
+	for _, l := range layouts(stream) {
+		t.Run(l.name, func(t *testing.T) {
+			if n := matchesStream(t, capture(stream, l.syn, l.pcs)); n != l.want {
+				t.Errorf("%d messages, want %d", n, l.want)
+			}
+		})
 	}
-	for i := range online {
-		if string(online[i].Raw) != string(offline.Messages[i].Raw) {
-			t.Fatalf("message %d differs between online and offline", i)
+}
+
+// FuzzLinearize holds batch reassembly to Stream on arbitrary captures of
+// one true BGP stream, opened by a SYN. The first input byte sets the
+// number of UPDATEs. Each following four bytes capture one segment, up to
+// 64 in input order: a big-endian offset taken mod the stream length, and
+// a length taken mod 512 plus one, cut at the end of the stream. Every
+// copy of a byte is the same byte, as in an honest retransmission.
+func FuzzLinearize(f *testing.F) {
+	encode := func(n byte, pcs []piece) []byte {
+		in := []byte{n}
+		for _, p := range pcs {
+			in = binary.BigEndian.AppendUint16(in, uint16(p.off))
+			in = binary.BigEndian.AppendUint16(in, uint16(p.n-1))
 		}
+		return in
 	}
+	stream := bgpStream(f, 30)
+	for _, l := range layouts(stream) {
+		f.Add(encode(30, l.pcs))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		stream := bgpStream(t, int(in[0]%64))
+		var pcs []piece
+		for in = in[1:]; len(in) >= 4 && len(pcs) < 64; in = in[4:] {
+			off := int(binary.BigEndian.Uint16(in)) % len(stream)
+			n := min(int(binary.BigEndian.Uint16(in[2:])%512)+1, len(stream)-off)
+			pcs = append(pcs, piece{off, n})
+		}
+		matchesStream(t, capture(stream, true, pcs))
+	})
 }
 
 func TestStreamEvictAbandonsOldestHole(t *testing.T) {
