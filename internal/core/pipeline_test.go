@@ -376,3 +376,53 @@ func TestMapOrdered(t *testing.T) {
 		t.Error("empty input should return nil")
 	}
 }
+
+// TestEarlyEmitSharedBlocksByteIdentical runs a reset-split capture merged
+// in time with a second session through the streamed path at several
+// worker counts. The first incarnation is emitted early, so workers read
+// its payloads while the demuxer keeps copying the other connections'
+// packets into the same shared blocks; the reports must not depend on the
+// worker count. Run it under -race.
+func TestEarlyEmitSharedBlocksByteIdentical(t *testing.T) {
+	reset := tracegen.RunWithReset(tracegen.Scenario{
+		Kind: tracegen.KindPaced, Seed: 71, Routes: 4_000,
+		PacingTimer: 200_000, PacingBudget: 24,
+		Horizon: 120_000_000,
+	}, 700_000)
+	pkts := reset.Packets()
+	addr := netip.MustParseAddr("10.1.9.1")
+	for _, tp := range tracegen.Run(tracegen.Scenario{Kind: tracegen.KindClean, Seed: 72, Routes: 4_000}).Packets() {
+		if tp.Pkt.TCP.SrcPort == 179 {
+			tp.Pkt.IP.Src = addr
+		} else {
+			tp.Pkt.IP.Dst = addr
+		}
+		pkts = append(pkts, tp)
+	}
+	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].Time < pkts[j].Time })
+	d := flows.NewDemuxer(flows.DefaultOptions(), func(int, *flows.Connection) {})
+	for _, tp := range pkts {
+		d.Add(tp)
+	}
+	if d.Finish(); d.Stats().EarlyEmits == 0 {
+		t.Fatal("no connection emitted before Finish")
+	}
+	data, _ := writePcap(t, pkts, 0)
+
+	var baseline []byte
+	for _, w := range []int{1, 2, 4} {
+		rep, err := New(Config{Workers: w}).AnalyzePcap(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if len(rep.Transfers) != 3 {
+			t.Fatalf("workers=%d: transfers = %d, want 3", w, len(rep.Transfers))
+		}
+		out := serializeReport(t, rep)
+		if baseline == nil {
+			baseline = out
+		} else if !bytes.Equal(out, baseline) {
+			t.Errorf("workers=%d: report differs from workers=1 baseline", w)
+		}
+	}
+}

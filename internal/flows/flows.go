@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"tdat/internal/bytepack"
 	"tdat/internal/obs"
 	"tdat/internal/packet"
 	"tdat/internal/pcapio"
@@ -97,8 +98,11 @@ type DataEvent struct {
 	// Ack and Window echo the piggybacked acknowledgment state.
 	Ack    int64
 	Window int
-	// Payload references the captured bytes (nil for length-only traces);
-	// reassembly uses it to reconstruct the BGP stream.
+	// Payload is the demuxer's copy of the captured bytes (nil for
+	// length-only traces); reassembly uses it to reconstruct the BGP
+	// stream. It is a capped view into a block shared with other packets
+	// of the capture, other connections' included: appending to it
+	// reallocates, and holding it keeps the whole block alive.
 	Payload []byte
 }
 
@@ -189,10 +193,11 @@ func (c *Connection) Span() timerange.Range {
 // One column per field the analyzer reads keeps the accumulation hot path
 // free of per-packet allocations and pointer chasing: appending a packet
 // touches a handful of flat arrays instead of allocating a packet struct,
-// and analysis scans run down dense columns. Payload bytes are copied into
-// a single per-connection arena, so the demuxer retains nothing from the
-// caller's (reused) decode buffer — the ownership boundary that makes
-// zero-copy ingest (pcapio.ReadInto + packet.DecodeInto) safe upstream.
+// and analysis scans run down dense columns. The pay column holds the
+// demuxer's copies of the payloads (see Demuxer.Add), so the table retains
+// nothing from the caller's (reused) decode buffer — the ownership boundary
+// that makes zero-copy ingest (pcapio.ReadInto + packet.DecodeInto) safe
+// upstream.
 type pktTable struct {
 	times   []Micros
 	seqs    []uint32 // TCP sequence numbers (wire values)
@@ -200,17 +205,15 @@ type pktTable struct {
 	ipids   []uint16
 	windows []uint16
 	flags   []uint8
-	dirs    []uint8 // 1 when the packet's source is the canonical key's A side
-	payOff  []int32 // payload start in arena
-	payLen  []int32
+	dirs    []uint8  // 1 when the packet's source is the canonical key's A side
+	pay     [][]byte // payload copies in the demuxer's blocks (nil when empty)
 	mss     []uint32 // SYN MSS option, 1<<16|value when present, 0 otherwise
-	arena   []byte   // payload bytes, owned by the table (and later the events)
 }
 
 func (t *pktTable) n() int { return len(t.times) }
 
-// add appends one packet, copying its payload into the arena.
-func (t *pktTable) add(tm Micros, p *packet.Packet, fromA bool) {
+// add appends one packet whose payload the caller has already copied.
+func (t *pktTable) add(tm Micros, p *packet.Packet, pay []byte, fromA bool) {
 	t.times = append(t.times, tm)
 	t.seqs = append(t.seqs, p.TCP.Seq)
 	t.acks = append(t.acks, p.TCP.Ack)
@@ -222,9 +225,7 @@ func (t *pktTable) add(tm Micros, p *packet.Packet, fromA bool) {
 		dir = 1
 	}
 	t.dirs = append(t.dirs, dir)
-	t.payOff = append(t.payOff, int32(len(t.arena)))
-	t.payLen = append(t.payLen, int32(len(p.Payload)))
-	t.arena = append(t.arena, p.Payload...)
+	t.pay = append(t.pay, pay)
 	var m uint32
 	if p.TCP.HasFlag(packet.FlagSYN) {
 		if v, ok := p.TCP.MSS(); ok {
@@ -234,19 +235,8 @@ func (t *pktTable) add(tm Micros, p *packet.Packet, fromA bool) {
 	t.mss = append(t.mss, m)
 }
 
-// payload returns the i-th packet's payload as a capped view into the arena
-// (stable for the lifetime of the emitted events; nil when empty).
-func (t *pktTable) payload(i int) []byte {
-	if t.payLen[i] == 0 {
-		return nil
-	}
-	off, end := t.payOff[i], t.payOff[i]+t.payLen[i]
-	return t.arena[off:end:end]
-}
-
 // sortByTime stably reorders every column by timestamp — the rare
-// disordered-capture path. The arena is untouched: payOff/payLen move with
-// their rows, so payload views stay valid.
+// disordered-capture path. The payload views move with their rows.
 func (t *pktTable) sortByTime() {
 	perm := make([]int, t.n())
 	for i := range perm {
@@ -260,8 +250,7 @@ func (t *pktTable) sortByTime() {
 	permute(perm, t.windows)
 	permute(perm, t.flags)
 	permute(perm, t.dirs)
-	permute(perm, t.payOff)
-	permute(perm, t.payLen)
+	permute(perm, t.pay)
 	permute(perm, t.mss)
 }
 
@@ -274,9 +263,10 @@ func permute[T any](perm []int, s []T) {
 	copy(s, tmp)
 }
 
-// tablePool recycles pktTable column storage between connections. The arena
-// is NOT recycled — emitted DataEvents alias it — so release detaches it
-// before pooling the numeric columns.
+// tablePool recycles pktTable column storage between connections. The
+// payload bytes are not the table's to recycle — emitted DataEvents alias
+// them — so release clears the pay column's views before pooling, and a
+// pooled table pins no block.
 var tablePool = sync.Pool{New: func() any { return new(pktTable) }}
 
 // newTable returns an empty table with whatever column capacity a previous
@@ -290,16 +280,14 @@ func newTable() *pktTable {
 	t.windows = t.windows[:0]
 	t.flags = t.flags[:0]
 	t.dirs = t.dirs[:0]
-	t.payOff = t.payOff[:0]
-	t.payLen = t.payLen[:0]
+	t.pay = t.pay[:0]
 	t.mss = t.mss[:0]
-	t.arena = nil // previous arena belongs to the emitted events
 	return t
 }
 
 // release returns a table's column storage to the pool.
 func release(t *pktTable) {
-	t.arena = nil
+	clear(t.pay)
 	tablePool.Put(t)
 }
 
@@ -398,6 +386,9 @@ type Demuxer struct {
 	lastTime Micros
 	disorder bool
 	finished bool
+
+	// pack holds the copy of every payload Add keeps, for all connections.
+	pack bytepack.Packer
 
 	// stats feeds the degradation report (see Stats).
 	stats DemuxStats
@@ -499,8 +490,9 @@ func (d *Demuxer) evictOldest() {
 }
 
 // Add routes one packet to its connection, emitting any connection the
-// packet proves complete. The packet (and its payload view) is fully copied
-// into per-connection columnar storage before Add returns, so callers may
+// packet proves complete. The packet's header fields land in per-connection
+// columnar storage and its payload is copied once, into blocks the Demuxer
+// shares across connections (bytepack), before Add returns, so callers may
 // reuse tp.Pkt and the buffers it aliases — the contract the zero-copy
 // ingest path (pcapio.ReadInto + packet.DecodeInto) relies on.
 func (d *Demuxer) Add(tp TimedPacket) {
@@ -568,7 +560,7 @@ func (d *Demuxer) Add(tp TimedPacket) {
 			}
 		}
 	}
-	rc.tbl.add(tm, pkt, fromA)
+	rc.tbl.add(tm, pkt, d.pack.Copy(pkt.Payload), fromA)
 	if n := int64(len(pkt.Payload)); n > 0 {
 		rc.sawPayload = true
 		if fromA {
@@ -604,7 +596,7 @@ func (d *Demuxer) complete(rc *rawConn) {
 	if c := analyze(rc, d.opts); c != nil {
 		d.emit(rc.idx, c)
 	}
-	release(rc.tbl) // events alias only the arena; recycle the columns
+	release(rc.tbl) // events alias only the payload blocks; recycle the columns
 	rc.tbl = nil
 }
 
@@ -705,7 +697,7 @@ func extractISNs(c *Connection, t *pktTable, senderIsA bool) {
 				c.Profile.MSS = int(m & 0xFFFF)
 			}
 		case !isSyn && haveSenderISN && haveReceiverISN && c.Profile.HandshakeAckTime == 0 &&
-			fromSender && t.flags[i]&packet.FlagACK != 0 && t.payLen[i] == 0:
+			fromSender && t.flags[i]&packet.FlagACK != 0 && len(t.pay[i]) == 0:
 			c.Profile.HandshakeAckTime = t.times[i]
 		}
 	}
@@ -738,7 +730,7 @@ func buildEvents(c *Connection, t *pktTable, senderIsA bool) {
 	nData, nAcks := 0, 0
 	for i := 0; i < t.n(); i++ {
 		if (t.dirs[i] == 1) == senderIsA {
-			if t.payLen[i] > 0 {
+			if len(t.pay[i]) > 0 {
 				nData++
 			}
 		} else {
@@ -753,7 +745,7 @@ func buildEvents(c *Connection, t *pktTable, senderIsA bool) {
 	}
 	for i := 0; i < t.n(); i++ {
 		if (t.dirs[i] == 1) == senderIsA {
-			if t.payLen[i] == 0 {
+			if len(t.pay[i]) == 0 {
 				// Pure ACKs from the sender are not data events, but their
 				// IP IDs anchor the silent-loss continuity scan.
 				c.SenderPureAcks = append(c.SenderPureAcks,
@@ -764,12 +756,12 @@ func buildEvents(c *Connection, t *pktTable, senderIsA bool) {
 			ev := DataEvent{
 				Time:    t.times[i],
 				Seq:     off,
-				SeqEnd:  off + int64(t.payLen[i]),
-				Len:     int(t.payLen[i]),
+				SeqEnd:  off + int64(len(t.pay[i])),
+				Len:     len(t.pay[i]),
 				IPID:    t.ipids[i],
 				Ack:     relSeq(t.acks[i], c.receiverISN),
 				Window:  int(t.windows[i]),
-				Payload: t.payload(i),
+				Payload: t.pay[i],
 			}
 			c.Data = append(c.Data, ev)
 			c.Profile.TotalDataPackets++
@@ -780,7 +772,7 @@ func buildEvents(c *Connection, t *pktTable, senderIsA bool) {
 				Time:       t.times[i],
 				Ack:        ack,
 				Window:     int(t.windows[i]),
-				PayloadLen: int(t.payLen[i]),
+				PayloadLen: len(t.pay[i]),
 			}
 			if n := len(c.Acks); n > 0 {
 				prev := c.Acks[n-1]

@@ -1,8 +1,10 @@
 package flows
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
+	"unsafe"
 
 	"tdat/internal/packet"
 )
@@ -483,6 +485,80 @@ func TestDisorderedConnectionResorted(t *testing.T) {
 	for i := 1; i < len(got.Data); i++ {
 		if got.Data[i].Time < got.Data[i-1].Time {
 			t.Fatalf("data events not time-sorted at %d", i)
+		}
+	}
+}
+
+// TestPayloadsShareBlocks checks the ownership contract of the demuxer's
+// payload copies on two interleaved connections whose payloads share a
+// block: every Payload is capped at its length, appending to one leaves the
+// other connection's bytes as they were, and the caller may overwrite its
+// packet buffer as soon as Add returns.
+func TestPayloadsShareBlocks(t *testing.T) {
+	other := Endpoint{Addr: netip.MustParseAddr("10.0.0.3"), Port: 179}
+	b := &builder{}
+	b.handshake(0, 5_000, 1000, 9000, 1460)
+	b.add(50, other, receiverEP, 3000, 0, packet.FlagSYN, 65535, 0)
+	b.add(60, receiverEP, other, 7000, 3001, packet.FlagSYN|packet.FlagACK, 65535, 0)
+	b.add(70, other, receiverEP, 3001, 7001, packet.FlagACK, 65535, 0)
+	for i := 0; i < 8; i++ {
+		at := Micros(10_000 + 100*i)
+		b.add(at, senderEP, receiverEP, uint32(1001+100*i), 9001, packet.FlagACK, 65535, 100)
+		b.add(at+50, other, receiverEP, uint32(3001+80*i), 7001, packet.FlagACK, 65535, 80)
+	}
+	// Each payload byte names its connection and its packet.
+	for i, tp := range b.pkts {
+		for j := range tp.Pkt.Payload {
+			tp.Pkt.Payload[j] = byte(i)
+		}
+	}
+
+	var conns []*Connection
+	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { conns = append(conns, c) })
+	var reused packet.Packet
+	buf := make([]byte, 1500)
+	for _, tp := range b.pkts {
+		reused = *tp.Pkt
+		reused.Payload = buf[:copy(buf, tp.Pkt.Payload)]
+		d.Add(TimedPacket{Time: tp.Time, Pkt: &reused})
+		for i := range buf {
+			buf[i] = 0xEE // the caller reuses its buffer
+		}
+	}
+	d.Finish()
+	if len(conns) != 2 || len(conns[0].Data) != 8 || len(conns[1].Data) != 8 {
+		t.Fatalf("got %d connections, want 2 with 8 data events each", len(conns))
+	}
+
+	want := func(c *Connection, i int) []byte {
+		n, first := 100, 6 // packets 0–5 are the two handshakes
+		if c.Sender == other {
+			n, first = 80, 7
+		}
+		return bytes.Repeat([]byte{byte(first + 2*i)}, n)
+	}
+	a, o := conns[0], conns[1]
+	if a.Sender != senderEP {
+		a, o = o, a
+	}
+	// The first payload of one connection is followed in its block by the
+	// first payload of the other.
+	if unsafe.Add(unsafe.Pointer(&a.Data[0].Payload[0]), len(a.Data[0].Payload)) != unsafe.Pointer(&o.Data[0].Payload[0]) {
+		t.Fatal("interleaved connections' payloads are not adjacent in one block")
+	}
+	for _, c := range []*Connection{a, o} {
+		for i, ev := range c.Data {
+			if cap(ev.Payload) != len(ev.Payload) {
+				t.Errorf("%v payload %d: cap %d, len %d", c.Sender, i, cap(ev.Payload), len(ev.Payload))
+			}
+			_ = append(ev.Payload, 0xAA, 0xAA, 0xAA, 0xAA)
+		}
+	}
+	for _, c := range []*Connection{a, o} {
+		for i, ev := range c.Data {
+			if w := want(c, i); !bytes.Equal(ev.Payload, w) {
+				t.Errorf("%v payload %d = %x, want %x", c.Sender, i, ev.Payload, w)
+			}
 		}
 	}
 }

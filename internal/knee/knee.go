@@ -6,7 +6,10 @@
 //
 // The L-method fits two straight lines to the left and right portions of an
 // evaluation curve and picks the split point minimizing the total weighted
-// RMSE; the split is the knee.
+// RMSE; the split is the knee. Find scores every split in O(n) from running
+// least-squares moments. The textbook form, which refits both lines at each
+// split in O(n²), lives only in the package tests, as the reference Find is
+// held to.
 package knee
 
 import (
@@ -20,34 +23,38 @@ type Point struct {
 	Y float64
 }
 
-// fitRMSE returns the root-mean-square error of the least-squares line
-// through pts.
-func fitRMSE(pts []Point) float64 {
-	n := float64(len(pts))
-	if len(pts) < 2 {
+// moments are the centred running moments of a point set, updated one
+// point at a time (Welford): centring keeps the sums small where raw
+// Σy² and Σxy would cancel at gap magnitudes (y ≈ 2·10⁵ µs).
+type moments struct {
+	n             float64
+	mx, my        float64
+	cxx, cxy, cyy float64
+}
+
+func (m *moments) add(p Point) {
+	m.n++
+	dx := p.X - m.mx
+	m.mx += dx / m.n
+	dy := p.Y - m.my
+	m.my += dy / m.n
+	m.cxx += dx * (p.X - m.mx)
+	m.cxy += dx * (p.Y - m.my)
+	m.cyy += dy * (p.Y - m.my)
+}
+
+// rmse returns the root-mean-square error of the least-squares line through
+// the points added so far. When every X is equal the line is horizontal at
+// the mean, as the closed-form fit's zero denominator makes it.
+func (m *moments) rmse() float64 {
+	if m.n < 2 {
 		return 0
 	}
-	var sx, sy, sxx, sxy float64
-	for _, p := range pts {
-		sx += p.X
-		sy += p.Y
-		sxx += p.X * p.X
-		sxy += p.X * p.Y
+	sse := m.cyy
+	if m.cxx != 0 {
+		sse -= m.cxy * m.cxy / m.cxx
 	}
-	den := n*sxx - sx*sx
-	var slope, icept float64
-	if den != 0 {
-		slope = (n*sxy - sx*sy) / den
-		icept = (sy - slope*sx) / n
-	} else {
-		icept = sy / n
-	}
-	var se float64
-	for _, p := range pts {
-		d := p.Y - (slope*p.X + icept)
-		se += d * d
-	}
-	return math.Sqrt(se / n)
+	return math.Sqrt(max(sse, 0) / m.n)
 }
 
 // Find locates the knee of the curve and returns its index; ok is false when
@@ -57,16 +64,23 @@ func Find(pts []Point) (idx int, ok bool) {
 	if n < 4 {
 		return 0, false
 	}
+	// Split c is the last index of the left segment; both segments need at
+	// least two points. suffix[s] is the RMSE of the fit through pts[s:].
+	suffix := make([]float64, n)
+	var m moments
+	for s := n - 1; s >= 2; s-- {
+		m.add(pts[s])
+		suffix[s] = m.rmse()
+	}
 	best := math.Inf(1)
 	bestIdx := -1
-	// Split c is the last index of the left segment; both segments need at
-	// least two points.
+	m = moments{}
+	m.add(pts[0])
 	for c := 1; c < n-2; c++ {
-		left := pts[:c+1]
-		right := pts[c+1:]
-		lw := float64(len(left)) / float64(n)
-		rw := float64(len(right)) / float64(n)
-		total := lw*fitRMSE(left) + rw*fitRMSE(right)
+		m.add(pts[c])
+		lw := float64(c+1) / float64(n)
+		rw := float64(n-c-1) / float64(n)
+		total := lw*m.rmse() + rw*suffix[c+1]
 		if total < best {
 			best = total
 			bestIdx = c
@@ -76,15 +90,6 @@ func Find(pts []Point) (idx int, ok bool) {
 		return 0, false
 	}
 	return bestIdx, true
-}
-
-// KneeValue runs Find and returns the X value at the knee.
-func KneeValue(pts []Point) (float64, bool) {
-	idx, ok := Find(pts)
-	if !ok {
-		return 0, false
-	}
-	return pts[idx].X, true
 }
 
 // GapKnee sorts gap lengths ascending, builds the evaluation curve

@@ -7,6 +7,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"tdat/internal/bytepack"
 )
 
 // nextAll is the reference ReadAll is held to: a loop over Next, whose
@@ -127,14 +129,14 @@ func TestReadAllBlocks(t *testing.T) {
 		recs = append(recs, rec)
 	}
 	big := sampleRecord(t, 1)
-	big.Raw = bytes.Repeat([]byte{0x42}, rawBlock+1)
+	big.Raw = bytes.Repeat([]byte{0x42}, bytepack.MinBlock+1)
 	recs = append(recs[:recordBlock], append([]Record{big}, recs[recordBlock:]...)...)
 	data := archive(t, recs...)
 	checkReadAll(t, data)
 	if got, err := ReadAll(bytes.NewReader(data)); err != nil || len(got) != len(recs) {
 		t.Fatalf("read %d of %d records, err %v", len(got), len(recs), err)
 	}
-	for _, cut := range []int{1, 5, 12, rawBlock / 2} {
+	for _, cut := range []int{1, 5, 12, bytepack.MinBlock / 2} {
 		checkReadAll(t, data[:len(data)-cut])
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"tdat/internal/bgp"
+	"tdat/internal/bytepack"
 )
 
 // MRT type and subtype codes (RFC 6396).
@@ -169,24 +170,20 @@ func (r *Reader) next(rec *Record) error {
 	}
 }
 
-// Block sizes of ReadAll: records are gathered recordBlock at a time, and
-// their message bytes are packed rawBlock bytes at a time.
-const (
-	recordBlock = 512
-	rawBlock    = 64 << 10
-)
+// recordBlock is how many records ReadAll gathers at a time.
+const recordBlock = 512
 
 // ReadAll drains the reader. It returns the records read before a failure
 // together with the error. Every record's Raw is a capped view into a block
-// of message bytes shared with its neighbours: appending to one reallocates
-// it and leaves the others intact. The result is allocated once, at exact
-// size, from fixed-size blocks of records.
+// of message bytes shared with its neighbours (bytepack): appending to one
+// reallocates it and leaves the others intact. The result is allocated
+// once, at exact size, from fixed-size blocks of records.
 func ReadAll(r io.Reader) ([]Record, error) {
 	rd := NewReader(r)
 	var (
 		full [][]Record // filled record blocks
 		recs []Record   // the block being filled
-		raw  []byte     // the message-byte block being filled
+		pack bytepack.Packer
 	)
 	for {
 		if len(recs) == cap(recs) {
@@ -209,19 +206,7 @@ func ReadAll(r io.Reader) ([]Record, error) {
 			}
 			return append(out, recs...), err
 		}
-		switch size := len(rec.Raw); {
-		case size == 0:
-			rec.Raw = nil // as Next returns it
-		case size > rawBlock:
-			rec.Raw = append([]byte(nil), rec.Raw...)
-		default:
-			if size > cap(raw)-len(raw) {
-				raw = make([]byte, 0, rawBlock)
-			}
-			off := len(raw)
-			raw = append(raw, rec.Raw...)
-			rec.Raw = raw[off:len(raw):len(raw)]
-		}
+		rec.Raw = pack.Copy(rec.Raw) // nil when empty, as Next returns it
 		recs = recs[:len(recs)+1]
 	}
 }

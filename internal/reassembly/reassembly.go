@@ -9,7 +9,6 @@ package reassembly
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 
 	"tdat/internal/bgp"
@@ -83,7 +82,7 @@ func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
 	res := &Result{}
 	streamBuf := streamPool.Get().(*[]byte)
 	defer streamPool.Put(streamBuf)
-	spans := linearize(c, opts.MaxBytes, res, streamBuf)
+	at := spanCursor{spans: linearize(c, opts.MaxBytes, res, streamBuf)}
 	stream := *streamBuf
 	msgs, consumed, err := bgp.SplitStream(stream)
 	if err != nil {
@@ -98,7 +97,7 @@ func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
 			raw = append([]byte(nil), stream[off:off+length]...)
 		}
 		res.Messages = append(res.Messages, Message{
-			Time: timeAt(spans, off+length),
+			Time: at.timeAt(off + length),
 			Msg:  m,
 			Raw:  raw,
 		})
@@ -118,11 +117,11 @@ func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
 func ScanKeys(c *flows.Connection, maxBytes int64, ks *mct.KeyStream) (res Result, msgs int, err error) {
 	streamBuf := streamPool.Get().(*[]byte)
 	defer streamPool.Put(streamBuf)
-	spans := linearize(c, maxBytes, &res, streamBuf)
+	at := spanCursor{spans: linearize(c, maxBytes, &res, streamBuf)}
 	start := len(ks.Keys)
 	var consumed int
 	ks.Keys, msgs, consumed, err = bgp.ScanStream(*streamBuf, ks.Keys, func(end, nkeys int) {
-		ks.Updates = append(ks.Updates, mct.KeyUpdate{Time: timeAt(spans, int64(end)), Start: start, End: nkeys})
+		ks.Updates = append(ks.Updates, mct.KeyUpdate{Time: at.timeAt(int64(end)), Start: start, End: nkeys})
 		start = nkeys
 	})
 	if err != nil {
@@ -138,7 +137,7 @@ func framingError(consumed int, err error) error {
 // linearize copies the contiguous prefix of c's sender stream, capped at
 // maxBytes (0 means unlimited), into *streamBuf, a buffer the caller leased
 // from streamPool. It fills res's coverage fields and returns the spans
-// that timestamp stream positions (see timeAt).
+// that timestamp stream positions (see spanCursor).
 //
 // The rule is Stream's, so batch and online reassembly agree byte for byte
 // and time for time: each stream byte keeps its first captured arrival, and
@@ -192,9 +191,21 @@ func linearize(c *flows.Connection, maxBytes int64, res *Result, streamBuf *[]by
 	return spans
 }
 
+// spanCursor stamps stream positions with linearize's spans. The spans are
+// sorted by end and both callers ask for increasing positions, so the
+// cursor advances one index rather than searching.
+type spanCursor struct {
+	spans []span
+	i     int
+}
+
 // timeAt returns when the stream through position pos-1 first became
-// contiguous, i.e. when the message ending at pos became complete; pos
-// lies in the linearized prefix, so some span reaches it.
-func timeAt(spans []span, pos int64) timerange.Micros {
-	return spans[sort.Search(len(spans), func(i int) bool { return spans[i].end >= pos })].time
+// contiguous, i.e. when the message ending at pos became complete. pos lies
+// in the linearized prefix, so some span reaches it, and is no smaller than
+// the previous call's.
+func (c *spanCursor) timeAt(pos int64) timerange.Micros {
+	for c.spans[c.i].end < pos {
+		c.i++
+	}
+	return c.spans[c.i].time
 }

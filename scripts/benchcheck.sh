@@ -25,9 +25,10 @@ raw="$dir/bench.txt"
 
 # Pipeline throughput from packets and from a streamed capture, and flow
 # extraction (root package), then the zero-copy microbenchmarks, then the
-# MRT archive path (tdat -mrt). -benchtime counts both in
-# iterations-or-seconds; 1s is enough for stable allocs/op, which is what
-# the tight floors gate. The output goes to the file first and is shown
+# MRT archive path (tdat -mrt), then the timer knee over a paper-scale
+# curve, whose ns/op ceiling only an O(n) pass meets. -benchtime counts
+# both in iterations-or-seconds; 1s is enough for stable allocs/op, which
+# is what the tight floors gate. The output goes to the file first and is shown
 # after: piping into tee would hide a failing benchmark behind tee's exit
 # status (POSIX sh has no pipefail).
 status=0
@@ -40,7 +41,9 @@ status=0
 		go test -run '^$' -bench 'BenchmarkReadInto$' \
 			-benchmem -benchtime 1s ./internal/pcapio &&
 		go test -run '^$' -bench 'BenchmarkAnalyzeWithArchive$' \
-			-benchmem -benchtime 1s ./cmd/tdat
+			-benchmem -benchtime 1s ./cmd/tdat &&
+		go test -run '^$' -bench 'BenchmarkGapKnee$' \
+			-benchmem -benchtime 1s ./internal/knee
 } > "$raw" || status=$?
 cat "$raw"
 if [ "$status" != 0 ]; then
