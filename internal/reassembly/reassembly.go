@@ -9,6 +9,7 @@ package reassembly
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tdat/internal/bgp"
@@ -71,19 +72,20 @@ func Reassemble(c *flows.Connection) (*Result, error) {
 	return ReassembleOpts(c, Options{KeepRaw: true})
 }
 
-// streamPool recycles the linearization buffer across connections: neither
-// the parsed messages nor the scanned keys alias it (bgp.Parse copies what
-// it keeps, Raw is an explicit copy, keys are values), so each buffer can be
-// handed to the next connection once its result is built.
-var streamPool = sync.Pool{New: func() any { return new([]byte) }}
+// streamPool recycles ReassembleOpts's linearization working set across
+// connections: the parsed messages alias none of it (bgp.Parse copies what
+// it keeps, and Raw is an explicit copy), so it can be handed to the next
+// connection once the result is built.
+var streamPool = sync.Pool{New: func() any { return new(linearizer) }}
 
 // ReassembleOpts is Reassemble with explicit options.
 func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
 	res := &Result{}
-	streamBuf := streamPool.Get().(*[]byte)
-	defer streamPool.Put(streamBuf)
-	at := spanCursor{spans: linearize(c, opts.MaxBytes, res, streamBuf)}
-	stream := *streamBuf
+	l := streamPool.Get().(*linearizer)
+	defer streamPool.Put(l)
+	l.linearize(c, opts.MaxBytes, res)
+	at := spanCursor{spans: l.spans}
+	stream := l.stream
 	msgs, consumed, err := bgp.SplitStream(stream)
 	if err != nil {
 		return res, framingError(consumed, err)
@@ -106,21 +108,34 @@ func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// Scanner is the working set of the capture path's transfer end: the
+// linearization buffer, the spans that timestamp it, and the key stream
+// with mct.FindEndKeys's scratch. Its owner keeps one per concurrent
+// analysis and reuses it from one connection to the next, so a warm
+// transfer-end pass allocates nothing. A Scanner is not safe for
+// concurrent use.
+type Scanner struct {
+	// Keys is the key stream the last ScanKeys recovered.
+	Keys mct.KeyStream
+	lin  linearizer
+}
+
 // ScanKeys is ReassembleOpts for the transfer-end estimate, which needs
 // only when each UPDATE arrived and what it announced. It linearizes the
 // same stream, capped at maxBytes (0 means unlimited), and validates it
-// with bgp.ScanStream instead of parsing it: each UPDATE carrying NLRI is
-// appended to ks with its Message time, and no bgp.Message is built. It
-// returns the whole messages validated (what len(Result.Messages) would
-// be) and the same error as ReassembleOpts; res.Messages stays empty. ks is
-// the caller's and is appended to, never retained.
-func ScanKeys(c *flows.Connection, maxBytes int64, ks *mct.KeyStream) (res Result, msgs int, err error) {
-	streamBuf := streamPool.Get().(*[]byte)
-	defer streamPool.Put(streamBuf)
-	at := spanCursor{spans: linearize(c, maxBytes, &res, streamBuf)}
-	start := len(ks.Keys)
+// with bgp.ScanStream instead of parsing it: s.Keys is refilled with each
+// UPDATE carrying NLRI, stamped with its Message time, and no bgp.Message
+// is built. It returns the whole messages validated (what
+// len(Result.Messages) would be) and the same error as ReassembleOpts;
+// res.Messages stays empty. Nothing it returns aliases s.
+func (s *Scanner) ScanKeys(c *flows.Connection, maxBytes int64) (res Result, msgs int, err error) {
+	s.lin.linearize(c, maxBytes, &res)
+	at := spanCursor{spans: s.lin.spans}
+	ks := &s.Keys
+	ks.Reset()
+	start := 0
 	var consumed int
-	ks.Keys, msgs, consumed, err = bgp.ScanStream(*streamBuf, ks.Keys, func(end, nkeys int) {
+	ks.Keys, msgs, consumed, err = bgp.ScanStream(s.lin.stream, ks.Keys, func(end, nkeys int) {
 		ks.Updates = append(ks.Updates, mct.KeyUpdate{Time: at.timeAt(int64(end)), Start: start, End: nkeys})
 		start = nkeys
 	})
@@ -134,33 +149,42 @@ func framingError(consumed int, err error) error {
 	return fmt.Errorf("reassembly: BGP framing at offset %d: %w", consumed, err)
 }
 
+// linearizer is linearize's working set: the stream buffer, the spans
+// that timestamp it (see spanCursor) and the coverage set. Each call
+// overwrites all three and keeps their storage.
+type linearizer struct {
+	stream  []byte
+	spans   []span
+	covered timerange.Set
+}
+
 // linearize copies the contiguous prefix of c's sender stream, capped at
-// maxBytes (0 means unlimited), into *streamBuf, a buffer the caller leased
-// from streamPool. It fills res's coverage fields and returns the spans
-// that timestamp stream positions (see spanCursor).
+// maxBytes (0 means unlimited), into l.stream and records in l.spans when
+// each part of it became contiguous. It fills res's coverage fields.
 //
 // The rule is Stream's, so batch and online reassembly agree byte for byte
 // and time for time: each stream byte keeps its first captured arrival, and
 // a message is stamped with the time at which the prefix through its last
 // byte first became contiguous at the sniffer. Bytes before offset 0 are
 // history from before a mid-stream capture's anchor and are ignored.
-func linearize(c *flows.Connection, maxBytes int64, res *Result, streamBuf *[]byte) []span {
+func (l *linearizer) linearize(c *flows.Connection, maxBytes int64, res *Result) {
 	// Walk the segments in capture order, noting each time the contiguous
 	// prefix [0, contig) grows: the spans come out sorted by end.
-	var covered timerange.Set
-	spans := make([]span, 0, len(c.Data))
+	l.covered.Reset()
+	l.spans = slices.Grow(l.spans[:0], len(c.Data))
 	var contig int64
 	for i := range c.Data {
 		d := &c.Data[i]
-		covered.Add(timerange.R(max(d.Seq, 0), d.SeqEnd))
-		if first, ok := covered.CoveringRange(0); ok && first.End > contig {
+		l.covered.Add(timerange.R(max(d.Seq, 0), d.SeqEnd))
+		if first, ok := l.covered.CoveringRange(0); ok && first.End > contig {
 			contig = first.End
-			spans = append(spans, span{end: contig, time: d.Time})
+			l.spans = append(l.spans, span{end: contig, time: d.Time})
 		}
 	}
 	res.StreamBytes = contig
-	if all, ok := covered.Bounds(); ok {
-		res.MissingRanges = covered.Complement(timerange.R(0, all.End)).Ranges()
+	// Bytes are missing exactly when the coverage reaches past the prefix.
+	if all, ok := l.covered.Bounds(); ok && all.End > contig {
+		res.MissingRanges = l.covered.Complement(timerange.R(0, all.End)).Ranges()
 	}
 	if maxBytes > 0 && contig > maxBytes {
 		res.TruncatedBytes = contig - maxBytes
@@ -168,13 +192,13 @@ func linearize(c *flows.Connection, maxBytes int64, res *Result, streamBuf *[]by
 	}
 
 	// Copy in reverse capture order, so earlier arrivals overwrite later
-	// ones. The segments cover every byte of [0, contig), so a recycled
+	// ones. The segments cover every byte of [0, contig), so a reused
 	// buffer never needs zeroing.
-	if int64(cap(*streamBuf)) < contig {
-		*streamBuf = make([]byte, contig)
+	if int64(cap(l.stream)) < contig {
+		l.stream = make([]byte, contig)
 	}
-	stream := (*streamBuf)[:contig]
-	*streamBuf = stream
+	stream := l.stream[:contig]
+	l.stream = stream
 	for i := len(c.Data) - 1; i >= 0; i-- {
 		d := &c.Data[i]
 		lo, hi := max(d.Seq, 0), min(d.SeqEnd, contig)
@@ -188,7 +212,6 @@ func linearize(c *flows.Connection, maxBytes int64, res *Result, streamBuf *[]by
 	}
 
 	res.LooksLikeBGP = len(stream) >= len(bgpMarker) && bytes.Equal(stream[:len(bgpMarker)], bgpMarker)
-	return spans
 }
 
 // spanCursor stamps stream positions with linearize's spans. The spans are

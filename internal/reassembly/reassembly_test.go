@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tdat/internal/bgp"
@@ -134,12 +135,12 @@ func matchesStream(t *testing.T, pkts []flows.TimedPacket) int {
 				i, len(g.Raw), g.Time, len(w.Raw), w.Time)
 		}
 	}
-	ks := &mct.KeyStream{Keys: []uint64{42}}
-	if _, msgs, err := ScanKeys(c, 0, ks); err != nil || msgs != len(want) {
+	var s Scanner
+	if _, msgs, err := s.ScanKeys(c, 0); err != nil || msgs != len(want) {
 		t.Fatalf("scan: %d messages, error %v; stream: %d messages", msgs, err, len(want))
 	}
-	if wantKS := keysOf(want); !reflect.DeepEqual(ks, wantKS) {
-		t.Fatalf("scanned key stream %+v, want the stream's %+v", ks, wantKS)
+	if wantKS := keysOf(want); !sameKeys(&s.Keys, wantKS) {
+		t.Fatalf("scanned key stream %+v, want the stream's %+v", s.Keys, wantKS)
 	}
 	return len(want)
 }
@@ -363,10 +364,10 @@ func TestLinearizeMatchesStreamOnTracegen(t *testing.T) {
 // TestScanKeysMatchesReassemble holds ScanKeys to ReassembleOpts on clean,
 // reordered, retransmitted, holed, capped and non-BGP streams, on a longer
 // retransmission at a held offset and on bytes from before a mid-stream
-// anchor: the same
-// coverage report, message count and error, and exactly the timed NLRI of
-// the parsed UPDATEs. The key stream starts non-empty, so the key ranges
-// must index the whole buffer, not just what this call appended.
+// anchor: the same coverage report, message count and error, and exactly
+// the timed NLRI of the parsed UPDATEs. One Scanner serves every case, the
+// long ones first, so nothing of an earlier stream may show in a later
+// one's result.
 func TestScanKeysMatchesReassemble(t *testing.T) {
 	stream := bgpStream(t, 30)
 	at := func(i int) flows.Micros { return flows.Micros(i) * 1000 }
@@ -386,6 +387,7 @@ func TestScanKeysMatchesReassemble(t *testing.T) {
 		pkts     []flows.TimedPacket
 		maxBytes int64
 	}{
+		{"upstream-loss-512010", tracegen.Run(upstreamLoss512010).Packets(), 0},
 		{"in-order", packetsFor(stream, 700, at), 0},
 		{"reordered", swapped, 0},
 		{"retransmit", retx, 0},
@@ -394,14 +396,13 @@ func TestScanKeysMatchesReassemble(t *testing.T) {
 		{"garbage", packetsFor(junk, 50, at), 0},
 		{"longer-copy", capture(stream, true, longerCopy(stream)), 0},
 		{"pre-anchor", capture(stream, false, midStream(stream)), 0},
-		{"upstream-loss-512010", tracegen.Run(upstreamLoss512010).Packets(), 0},
 	}
+	var s Scanner
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := extractOne(t, tc.pkts)
 			want, wantErr := ReassembleOpts(c, Options{MaxBytes: tc.maxBytes})
-			ks := &mct.KeyStream{Keys: []uint64{42}}
-			got, msgs, err := ScanKeys(c, tc.maxBytes, ks)
+			got, msgs, err := s.ScanKeys(c, tc.maxBytes)
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 				t.Fatalf("error %v, want %v", err, wantErr)
 			}
@@ -416,17 +417,17 @@ func TestScanKeysMatchesReassemble(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if !reflect.DeepEqual(ks, wantKS) {
-				t.Errorf("key stream %+v, want %+v", ks, wantKS)
+			if !sameKeys(&s.Keys, wantKS) {
+				t.Errorf("key stream %+v, want %+v", s.Keys, wantKS)
 			}
 		})
 	}
 }
 
-// keysOf is the key stream ScanKeys builds from msgs after a placeholder
-// key: each UPDATE that announces prefixes, with its time and key range.
+// keysOf is the key stream ScanKeys builds from msgs: each UPDATE that
+// announces prefixes, with its time and key range.
 func keysOf(msgs []Message) *mct.KeyStream {
-	ks := &mct.KeyStream{Keys: []uint64{42}}
+	ks := &mct.KeyStream{}
 	for _, m := range msgs {
 		if u, ok := m.Msg.(*bgp.Update); ok && len(u.NLRI) > 0 {
 			start := len(ks.Keys)
@@ -437,4 +438,9 @@ func keysOf(msgs []Message) *mct.KeyStream {
 		}
 	}
 	return ks
+}
+
+// sameKeys reports whether two key streams hold the same keys and updates.
+func sameKeys(a, b *mct.KeyStream) bool {
+	return slices.Equal(a.Keys, b.Keys) && slices.Equal(a.Updates, b.Updates)
 }

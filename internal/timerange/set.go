@@ -72,6 +72,9 @@ func (s *Set) Bounds() (Range, bool) {
 	return Range{Start: s.ranges[0].Start, End: s.ranges[len(s.ranges)-1].End}, true
 }
 
+// Reset empties s, keeping its storage for the next Adds.
+func (s *Set) Reset() { s.ranges = s.ranges[:0] }
+
 // Add inserts r, coalescing with any overlapping or adjacent ranges.
 func (s *Set) Add(r Range) {
 	if r.Empty() {

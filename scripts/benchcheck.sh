@@ -23,10 +23,12 @@ floors=$(dirname "$0")/benchfloor.txt
 mkdir -p "$dir"
 raw="$dir/bench.txt"
 
-# Pipeline throughput from packets and from a streamed capture, and flow
-# extraction (root package), then the zero-copy microbenchmarks, then the
-# MRT archive path (tdat -mrt), then the timer knee over a paper-scale
-# curve, whose ns/op ceiling only an O(n) pass meets. -benchtime counts
+# Pipeline throughput from packets and from a streamed capture, flow
+# extraction and the paper-scale transfer, whose B/op ceiling only an
+# Analyzer that keeps its transfer-end working set meets (root package),
+# then the zero-copy microbenchmarks, then the MRT archive path (tdat
+# -mrt), then the timer knee over a paper-scale curve, whose ns/op ceiling
+# only an O(n) pass meets. -benchtime counts
 # both in iterations-or-seconds; 1s is enough for stable allocs/op, which
 # is what the tight floors gate. The output goes to the file first and is shown
 # after: piping into tee would hide a failing benchmark behind tee's exit
@@ -34,7 +36,7 @@ raw="$dir/bench.txt"
 status=0
 {
 	go test -run '^$' \
-		-bench 'BenchmarkAnalyzeParallel$|BenchmarkAnalyzeParallelStream$|BenchmarkFlowExtraction$' \
+		-bench 'BenchmarkAnalyzeParallel$|BenchmarkAnalyzeParallelStream$|BenchmarkFlowExtraction$|BenchmarkPaperScaleTransfer$' \
 		-benchmem -benchtime 1s . &&
 		go test -run '^$' -bench 'BenchmarkDecodeInto$|BenchmarkDecodeReference$' \
 			-benchmem -benchtime 1s ./internal/packet &&
