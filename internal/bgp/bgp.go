@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"slices"
 )
 
 // Message type codes (RFC 4271 §4.1).
@@ -286,6 +285,22 @@ func marshalPrefixes(prefixes []Prefix) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
+// badEntry reports whether the first entry of a non-empty prefix list is
+// invalid: longer than 32 bits, or cut short.
+func badEntry(data []byte) bool {
+	bits := int(data[0])
+	return bits > 32 || len(data) < 1+(bits+7)/8
+}
+
+// entryErr is the error for the first entry of a prefix list that
+// badEntry rejected.
+func entryErr(data []byte) error {
+	if bits := data[0]; bits > 32 {
+		return fmt.Errorf("%w: prefix length %d", ErrBadMessage, bits)
+	}
+	return fmt.Errorf("%w: prefix bytes", ErrTruncated)
+}
+
 // countPrefixes validates an NLRI-format prefix list and counts its
 // entries, so that decoders can allocate their output once at exact size —
 // prefix lists dominate table-transfer parsing, and append-growing a slice
@@ -294,20 +309,15 @@ func marshalPrefixes(prefixes []Prefix) ([]byte, error) {
 func countPrefixes(data []byte) (int, error) {
 	count := 0
 	for rest := data; len(rest) > 0; count++ {
-		bits := int(rest[0])
-		if bits > 32 {
-			return 0, fmt.Errorf("%w: prefix length %d", ErrBadMessage, bits)
+		if badEntry(rest) {
+			return 0, entryErr(rest)
 		}
-		nbytes := (bits + 7) / 8
-		if len(rest) < 1+nbytes {
-			return 0, fmt.Errorf("%w: prefix bytes", ErrTruncated)
-		}
-		rest = rest[1+nbytes:]
+		rest = rest[1+(int(rest[0])+7)/8:]
 	}
 	return count, nil
 }
 
-// nextPrefix decodes the first entry of a prefix list that countPrefixes
+// nextPrefix decodes the first entry of a prefix list, which badEntry
 // accepted: its masked address (big-endian), its length, and the rest of
 // the list.
 func nextPrefix(data []byte) (addr uint32, bits int, rest []byte) {
@@ -318,9 +328,10 @@ func nextPrefix(data []byte) (addr uint32, bits int, rest []byte) {
 		// entry's own address bytes.
 		addr = binary.BigEndian.Uint32(data[1:5])
 	} else {
-		var a [4]byte
-		copy(a[:], data[1:1+nbytes])
-		addr = binary.BigEndian.Uint32(a[:])
+		// The list's tail: shift the entry's few bytes in one by one.
+		for i, b := range data[1 : 1+nbytes] {
+			addr |= uint32(b) << (24 - 8*i)
+		}
 	}
 	// A shift by 32 yields 0 in Go, so /0 masks everything away.
 	return addr & (^uint32(0) << (32 - bits)), bits, data[1+nbytes:]
@@ -352,22 +363,20 @@ func PrefixKey(p Prefix) uint64 {
 	return uint64(uint32(p.Bits()))<<32 | uint64(binary.BigEndian.Uint32(a[:]))
 }
 
-// KeyPrefix is the inverse of PrefixKey.
-func KeyPrefix(k uint64) Prefix {
-	a := [4]byte{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
-	return netip.PrefixFrom(netip.AddrFrom4(a), int(k>>32))
-}
-
-// appendPrefixKeys appends the PrefixKey of every entry of a validated
-// prefix list of n entries.
-func appendPrefixKeys(keys []uint64, data []byte, n int) []uint64 {
-	keys = slices.Grow(keys, n)
+// appendPrefixKeys validates an NLRI-format prefix list as countPrefixes
+// does and, in the same pass, appends the PrefixKey of each entry to keys.
+// On error the keys appended before the bad entry stay past the caller's
+// length, and the caller drops them.
+func appendPrefixKeys(keys []uint64, data []byte) ([]uint64, error) {
 	for len(data) > 0 {
+		if badEntry(data) {
+			return keys, entryErr(data)
+		}
 		addr, bits, rest := nextPrefix(data)
 		keys = append(keys, uint64(uint32(bits))<<32|uint64(addr))
 		data = rest
 	}
-	return keys
+	return keys, nil
 }
 
 // PrefixWireLen returns the NLRI encoding size of one prefix.
@@ -441,19 +450,21 @@ func checkMessage(data []byte) (typ uint8, body []byte, err error) {
 	return typ, body, nil
 }
 
-// updateSections is a validated UPDATE body: its withdrawn-routes and NLRI
-// prefix lists with their entry counts, and whether it carried path
-// attributes.
+// updateSections is an UPDATE body validated up to its NLRI: its
+// withdrawn-routes prefix list with its entry count, whether it carried
+// path attributes, and the NLRI prefix list, not yet validated.
 type updateSections struct {
-	withdrawn, nlri   []byte
-	nWithdrawn, nNLRI int
-	hasAttrs          bool
+	withdrawn, nlri []byte
+	nWithdrawn      int
+	hasAttrs        bool
 }
 
 // checkUpdate validates an UPDATE body into s, in the order the fields
-// appear, so the first error is the same whichever path asks. The path
-// attributes are decoded into a when it is non-nil and only validated
-// otherwise.
+// appear, up to the NLRI. The path attributes are decoded into a when it
+// is non-nil and only validated otherwise. The caller then walks the NLRI
+// with countPrefixes's checks, counting it (Parse) or emitting its keys
+// (ScanMessage), and ends with checkNLRI, so the first error is the same
+// whichever path asks.
 func checkUpdate(body []byte, a *PathAttrs, s *updateSections) error {
 	if len(body) < 4 {
 		return fmt.Errorf("%w: UPDATE body %d bytes", ErrTruncated, len(body))
@@ -479,10 +490,13 @@ func checkUpdate(body []byte, a *PathAttrs, s *updateSections) error {
 		}
 	}
 	s.nlri = rest[2+attrLen:]
-	if s.nNLRI, err = countPrefixes(s.nlri); err != nil {
-		return err
-	}
-	if s.nNLRI > 0 && !s.hasAttrs {
+	return nil
+}
+
+// checkNLRI is the last check of an UPDATE whose NLRI held n valid
+// entries: announcements need path attributes.
+func (s *updateSections) checkNLRI(n int) error {
+	if n > 0 && !s.hasAttrs {
 		return fmt.Errorf("%w: NLRI without path attributes", ErrBadMessage)
 	}
 	return nil
@@ -500,12 +514,19 @@ func parseUpdate(body []byte) (*Update, error) {
 	if err := checkUpdate(body, &box.a, &s); err != nil {
 		return nil, err
 	}
+	nNLRI, err := countPrefixes(s.nlri)
+	if err == nil {
+		err = s.checkNLRI(nNLRI)
+	}
+	if err != nil {
+		return nil, err
+	}
 	u := &box.u
 	u.Withdrawn = decodePrefixes(s.withdrawn, s.nWithdrawn)
 	if s.hasAttrs {
 		u.Attrs = &box.a
 	}
-	u.NLRI = decodePrefixes(s.nlri, s.nNLRI)
+	u.NLRI = decodePrefixes(s.nlri, nNLRI)
 	return u, nil
 }
 
@@ -653,8 +674,9 @@ func SplitStream(data []byte) (msgs []Message, consumed int, err error) {
 // such as MCT over a collector archive. It validates msg with Parse's rules,
 // so it fails exactly when Parse does, with the same error, but it builds
 // no Message: for an UPDATE it appends the NLRI to keys as PrefixKeys of
-// the masked prefixes. The path attributes are validated and skipped. On
-// error keys is returned unchanged.
+// the masked prefixes, in the pass that validates them. The path
+// attributes are validated and skipped. On error keys is returned
+// unchanged: rolled back to its length on entry.
 func ScanMessage(msg []byte, keys []uint64) ([]uint64, error) {
 	typ, body, err := checkMessage(msg)
 	if err != nil || typ != TypeUpdate {
@@ -664,7 +686,14 @@ func ScanMessage(msg []byte, keys []uint64) ([]uint64, error) {
 	if err := checkUpdate(body, nil, &s); err != nil {
 		return keys, err
 	}
-	return appendPrefixKeys(keys, s.nlri, s.nNLRI), nil
+	out, err := appendPrefixKeys(keys, s.nlri)
+	if err == nil {
+		err = s.checkNLRI(len(out) - len(keys))
+	}
+	if err != nil {
+		return keys, err
+	}
+	return out, nil
 }
 
 // ScanStream is SplitStream for callers that need only the announced

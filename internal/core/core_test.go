@@ -258,17 +258,18 @@ func TestAnalyzeConnectionWithUpdatesPinsEnd(t *testing.T) {
 		t.Fatal("want one connection")
 	}
 	// Build MCT updates from the collector's archive (the Quagga pipeline).
-	var ups []mct.Update
+	var (
+		times []Micros
+		msgs  []bgp.Message
+	)
 	for _, e := range tr.Archive {
 		m, err := bgp.Parse(e.Raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if u, ok := m.(*bgp.Update); ok && len(u.NLRI) > 0 {
-			ups = append(ups, mct.Update{Time: e.Time, Prefixes: u.NLRI})
-		}
+		times, msgs = append(times, e.Time), append(msgs, m)
 	}
-	rep := a.AnalyzeConnectionWithUpdates(conns[0], ups)
+	rep := a.AnalyzeConnectionWithUpdates(conns[0], mct.FromMessages(times, msgs))
 	if rep.MCT == nil {
 		t.Fatal("archive-driven analysis produced no MCT result")
 	}

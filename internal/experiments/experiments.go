@@ -10,28 +10,24 @@ import (
 	"fmt"
 	"io"
 
-	"tdat/internal/bgp"
 	"tdat/internal/core"
 	"tdat/internal/factors"
 	"tdat/internal/flows"
 	"tdat/internal/mct"
+	"tdat/internal/mrt"
 	"tdat/internal/timerange"
 	"tdat/internal/tracegen"
 )
 
-// archiveUpdates converts a trace's collector archive to MCT updates.
+// archiveUpdates converts a trace's collector archive to MCT updates the
+// way tdat -mrt converts the collector's MRT file: through mct.FromMRT,
+// which scans each message for its prefix keys with bgp.ScanMessage.
 func archiveUpdates(tr *tracegen.Trace) []mct.Update {
-	var out []mct.Update
-	for _, e := range tr.Archive {
-		m, err := bgp.Parse(e.Raw)
-		if err != nil {
-			continue
-		}
-		if u, ok := m.(*bgp.Update); ok && len(u.NLRI) > 0 {
-			out = append(out, mct.Update{Time: e.Time, Prefixes: u.NLRI})
-		}
+	recs := make([]mrt.Record, len(tr.Archive))
+	for i, e := range tr.Archive {
+		recs[i] = mrt.Record{TimeMicros: e.Time, Raw: e.Raw}
 	}
-	return out
+	return mct.FromMRT(recs)
 }
 
 // Micros aliases the simulator time unit.

@@ -14,9 +14,7 @@ package mct
 
 import (
 	"cmp"
-	"net/netip"
 	"slices"
-	"sort"
 	"sync"
 
 	"tdat/internal/bgp"
@@ -30,8 +28,8 @@ type Micros = timerange.Micros
 // Update is one timed BGP update for MCT purposes.
 type Update struct {
 	Time Micros
-	// Prefixes are the NLRI announcements in the update.
-	Prefixes []netip.Prefix
+	// Keys are the bgp.PrefixKeys of the update's NLRI announcements.
+	Keys []uint64
 }
 
 // Config tunes the estimator; zero values select defaults.
@@ -73,25 +71,21 @@ type Result struct {
 	UniquePrefixes int
 }
 
-// keySet is the set of prefixes FindEnd and FindEndKeys have seen. Valid
-// IPv4 prefixes, the paper's table transfers, go in by their
-// bgp.PrefixKey: open addressing with linear probing over a power-of-two
-// table sized once per transfer for every key it could be asked to hold,
-// so it never grows. Such a key is below 2^38, so slots hold key+1 and
-// zero marks an empty slot. Against a Go map it saves the general-purpose
-// hashing and lets one table be cleared and reused across transfers. Any
-// other prefix falls into a spill map created on first use.
+// keySet is the set of prefix keys FindEnd and FindEndKeys have seen:
+// open addressing with linear probing over a power-of-two table sized once
+// per transfer for every key it could be asked to hold, so it never grows.
+// A bgp.PrefixKey is below 2^38, so slots hold key+1 and zero marks an
+// empty slot. Against a Go map it saves the general-purpose hashing and
+// lets one table be cleared and reused across transfers.
 type keySet struct {
 	slots []uint64
 	shift uint // 64 - log2(len(slots))
-	n     int
-	spill map[netip.Prefix]struct{}
+	n     int  // distinct keys
 }
 
 // reset empties s and sizes it to hold up to max keys at a load factor of
 // at most 2/3.
 func (s *keySet) reset(max int) {
-	s.spill = nil
 	size, shift := 8, uint(61)
 	for size < max+max/2 {
 		size, shift = size*2, shift-1
@@ -123,24 +117,6 @@ func (s *keySet) insert(k uint64) bool {
 	}
 }
 
-// insertPrefix adds p, reporting whether it was previously unseen.
-func (s *keySet) insertPrefix(p netip.Prefix) bool {
-	if p.IsValid() && p.Addr().Is4() {
-		return s.insert(bgp.PrefixKey(p))
-	}
-	if _, ok := s.spill[p]; ok {
-		return false
-	}
-	if s.spill == nil {
-		s.spill = map[netip.Prefix]struct{}{}
-	}
-	s.spill[p] = struct{}{}
-	return true
-}
-
-// len returns the number of distinct prefixes in s.
-func (s *keySet) len() int { return s.n + len(s.spill) }
-
 // point is one update as the end rule sees it.
 type point struct {
 	time    Micros
@@ -150,41 +126,30 @@ type point struct {
 }
 
 // FindEnd locates the transfer end in updates (which must be time-sorted;
-// they are sorted defensively). ok is false for an empty stream.
+// they are sorted defensively, stably, in a copy). ok is false for an
+// empty stream.
 func FindEnd(updates []Update, cfg Config) (Result, bool) {
 	if len(updates) == 0 {
 		return Result{}, false
 	}
 	ups := updates
-	for i := 1; i < len(ups); i++ {
-		if ups[i].Time < ups[i-1].Time {
-			ups = append([]Update(nil), updates...)
-			sort.SliceStable(ups, func(i, j int) bool { return ups[i].Time < ups[j].Time })
-			break
-		}
+	byTime := func(a, b Update) int { return cmp.Compare(a.Time, b.Time) }
+	if !slices.IsSortedFunc(ups, byTime) {
+		ups = slices.Clone(ups)
+		slices.SortStableFunc(ups, byTime)
 	}
-
 	// Size the seen-set for the announcement count: a table transfer is
 	// mostly distinct prefixes.
 	announced := 0
-	for i := range ups {
-		announced += len(ups[i].Prefixes)
+	for _, u := range ups {
+		announced += len(u.Keys)
 	}
 	sc := keyPool.Get().(*keyScratch)
-	sc.seen.reset(announced)
-	points := slices.Grow(sc.points[:0], len(ups))[:len(ups)]
-	for i := range ups {
-		u := &ups[i]
-		novel := 0
-		for _, p := range u.Prefixes {
-			if sc.seen.insertPrefix(p) {
-				novel++
-			}
-		}
-		points[i] = point{time: u.Time, total: len(u.Prefixes), novel: novel, cumulen: sc.seen.len()}
+	sc.reset(announced, len(ups))
+	for _, u := range ups {
+		sc.add(u.Time, u.Keys)
 	}
-	res := cfg.withDefaults().end(points)
-	sc.points = points
+	res := cfg.withDefaults().end(sc.points)
 	keyPool.Put(sc)
 	return res, true
 }
@@ -215,12 +180,31 @@ func (s *KeyStream) Reset() {
 }
 
 // keyScratch is the working set of FindEnd and FindEndKeys: the seen-set
-// and the points. It keeps its grown buffers, so a warm call over IPv4
-// prefixes allocates nothing. FindEndKeys keeps it in the KeyStream it
-// reads; FindEnd leases it from keyPool for the call.
+// and the points. It keeps its grown buffers, so a warm call allocates
+// nothing. FindEndKeys keeps it in the KeyStream it reads; FindEnd leases
+// it from keyPool for the call.
 type keyScratch struct {
 	seen   keySet
 	points []point
+}
+
+// reset empties sc for a stream of the given number of announcements and
+// updates.
+func (sc *keyScratch) reset(announced, updates int) {
+	sc.seen.reset(announced)
+	sc.points = slices.Grow(sc.points[:0], updates)
+}
+
+// add counts the novelty of the next update, at time t with the given
+// announcements: the novelty loop FindEnd and FindEndKeys share.
+func (sc *keyScratch) add(t Micros, keys []uint64) {
+	novel := 0
+	for _, k := range keys {
+		if sc.seen.insert(k) {
+			novel++
+		}
+	}
+	sc.points = append(sc.points, point{time: t, total: len(keys), novel: novel, cumulen: sc.seen.n})
 }
 
 var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
@@ -237,19 +221,11 @@ func FindEndKeys(s *KeyStream, cfg Config) (Result, bool) {
 	if !slices.IsSortedFunc(ups, byTime) {
 		slices.SortStableFunc(ups, byTime)
 	}
-	s.sc.seen.reset(len(s.Keys))
-	points := slices.Grow(s.sc.points[:0], len(ups))[:len(ups)]
-	for i, u := range ups {
-		novel := 0
-		for _, k := range s.Keys[u.Start:u.End] {
-			if s.sc.seen.insert(k) {
-				novel++
-			}
-		}
-		points[i] = point{time: u.Time, total: u.End - u.Start, novel: novel, cumulen: s.sc.seen.n}
+	s.sc.reset(len(s.Keys), len(ups))
+	for _, u := range ups {
+		s.sc.add(u.Time, s.Keys[u.Start:u.End])
 	}
-	s.sc.points = points
-	return cfg.withDefaults().end(points), true
+	return cfg.withDefaults().end(s.sc.points), true
 }
 
 // end applies the transfer-end rule to time-sorted, non-empty points.
@@ -294,7 +270,7 @@ func (cfg Config) end(points []point) Result {
 }
 
 // mrtKeys recycles FromMRT's key streams. A stream never outlives the
-// call: the updates it returns hold prefixes decoded from it.
+// call: the updates it returns hold a copy of its keys.
 var mrtKeys = sync.Pool{New: func() any { return new(KeyStream) }}
 
 // FromMRT converts a collector's MRT archive into MCT updates — the
@@ -302,7 +278,7 @@ var mrtKeys = sync.Pool{New: func() any { return new(KeyStream) }}
 // from the BGP archive rather than payload reassembly. Records that fail
 // bgp.Parse's validation, messages other than UPDATE and UPDATEs that
 // announce nothing are skipped; it returns nil when nothing is left. All
-// updates share one prefix array, each holding a capped view of it.
+// updates share one key array, each holding a capped view of it.
 func FromMRT(records []mrt.Record) []Update {
 	ks := mrtKeys.Get().(*KeyStream)
 	defer mrtKeys.Put(ks)
@@ -319,27 +295,40 @@ func FromMRT(records []mrt.Record) []Update {
 	if len(ks.Updates) == 0 {
 		return nil
 	}
-	prefixes := make([]netip.Prefix, len(ks.Keys))
-	for i, k := range ks.Keys {
-		prefixes[i] = bgp.KeyPrefix(k)
-	}
+	keys := slices.Clone(ks.Keys)
 	out := make([]Update, len(ks.Updates))
 	for i, u := range ks.Updates {
-		out[i] = Update{Time: u.Time, Prefixes: prefixes[u.Start:u.End:u.End]}
+		out[i] = Update{Time: u.Time, Keys: keys[u.Start:u.End:u.End]}
 	}
 	return out
 }
 
-// FromMessages converts reassembled/archived BGP messages to MCT updates,
-// skipping non-update messages.
+// FromMessages converts reassembled/archived BGP messages, as bgp.Parse
+// decodes them, to MCT updates, skipping messages other than UPDATE and
+// UPDATEs that announce nothing. Like FromMRT's, the updates share one key
+// array.
 func FromMessages(times []Micros, msgs []bgp.Message) []Update {
-	var out []Update
+	updates, announced := 0, 0
+	for _, m := range msgs {
+		if u, ok := m.(*bgp.Update); ok && len(u.NLRI) > 0 {
+			updates, announced = updates+1, announced+len(u.NLRI)
+		}
+	}
+	if updates == 0 {
+		return nil
+	}
+	out := make([]Update, 0, updates)
+	keys := make([]uint64, 0, announced)
 	for i, m := range msgs {
 		u, ok := m.(*bgp.Update)
 		if !ok || len(u.NLRI) == 0 {
 			continue
 		}
-		out = append(out, Update{Time: times[i], Prefixes: u.NLRI})
+		start := len(keys)
+		for _, p := range u.NLRI {
+			keys = append(keys, bgp.PrefixKey(p))
+		}
+		out = append(out, Update{Time: times[i], Keys: keys[start:len(keys):len(keys)]})
 	}
 	return out
 }

@@ -17,16 +17,30 @@ func pfx(i int) netip.Prefix {
 	return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
 }
 
+// key is pfx(i)'s bgp.PrefixKey.
+func key(i int) uint64 { return bgp.PrefixKey(pfx(i)) }
+
+// updatePrefixes returns the 4 fresh prefixes of a transferStream's
+// update i.
+func updatePrefixes(i int) []netip.Prefix {
+	return []netip.Prefix{pfx(i * 4), pfx(i*4 + 1), pfx(i*4 + 2), pfx(i*4 + 3)}
+}
+
+// keysOf returns the bgp.PrefixKeys of ps.
+func keysOf(ps []netip.Prefix) []uint64 {
+	keys := make([]uint64, len(ps))
+	for i, p := range ps {
+		keys[i] = bgp.PrefixKey(p)
+	}
+	return keys
+}
+
 // transferStream builds n updates of 4 fresh prefixes each, spaced dt apart
 // starting at t0.
 func transferStream(t0 Micros, n int, dt Micros) []Update {
 	var out []Update
 	for i := 0; i < n; i++ {
-		var ps []netip.Prefix
-		for j := 0; j < 4; j++ {
-			ps = append(ps, pfx(i*4+j))
-		}
-		out = append(out, Update{Time: t0 + Micros(i)*dt, Prefixes: ps})
+		out = append(out, Update{Time: t0 + Micros(i)*dt, Keys: keysOf(updatePrefixes(i))})
 	}
 	return out
 }
@@ -55,7 +69,7 @@ func TestFindEndCleanTransfer(t *testing.T) {
 func TestFindEndStopsAtQuietGap(t *testing.T) {
 	ups := transferStream(0, 30, 100_000)
 	// A lone churn update long after the transfer.
-	ups = append(ups, Update{Time: ups[len(ups)-1].Time + 120_000_000, Prefixes: []netip.Prefix{pfx(9999)}})
+	ups = append(ups, Update{Time: ups[len(ups)-1].Time + 120_000_000, Keys: []uint64{key(9999)}})
 	res, ok := FindEnd(ups, Config{})
 	if !ok {
 		t.Fatal("no result")
@@ -71,10 +85,7 @@ func TestFindEndStopsWhenNoveltyDies(t *testing.T) {
 	// Dense re-announcements of already-seen prefixes (no novelty) follow
 	// within the quiet gap.
 	for i := 0; i < 200; i++ {
-		ups = append(ups, Update{
-			Time:     last + Micros(i+1)*100_000,
-			Prefixes: []netip.Prefix{pfx(i % 20)},
-		})
+		ups = append(ups, Update{Time: last + Micros(i+1)*100_000, Keys: []uint64{key(i % 20)}})
 	}
 	res, ok := FindEnd(ups, Config{})
 	if !ok {
@@ -120,10 +131,10 @@ func TestFromMessages(t *testing.T) {
 	if len(ups) != 2 {
 		t.Fatalf("updates = %d, want 2", len(ups))
 	}
-	if ups[0].Time != 20 || len(ups[0].Prefixes) != 2 {
+	if ups[0].Time != 20 || !reflect.DeepEqual(ups[0].Keys, []uint64{key(1), key(2)}) {
 		t.Errorf("first = %+v", ups[0])
 	}
-	if ups[1].Time != 40 {
+	if ups[1].Time != 40 || !reflect.DeepEqual(ups[1].Keys, []uint64{key(4)}) {
 		t.Errorf("second = %+v", ups[1])
 	}
 }
@@ -159,75 +170,73 @@ func TestFromMRT(t *testing.T) {
 	if len(ups) != 2 {
 		t.Fatalf("updates = %d, want 2", len(ups))
 	}
-	if ups[0].Time != 20 || len(ups[1].Prefixes) != 2 {
+	if ups[0].Time != 20 || !reflect.DeepEqual(ups[1].Keys, []uint64{key(2), key(3)}) {
 		t.Errorf("updates = %+v", ups)
 	}
 }
 
-// keyStreamOf packs updates into a KeyStream, prefix by prefix.
+// keyStreamOf packs updates into a KeyStream.
 func keyStreamOf(ups []Update) *KeyStream {
 	ks := &KeyStream{}
 	for _, u := range ups {
 		start := len(ks.Keys)
-		for _, p := range u.Prefixes {
-			ks.Keys = append(ks.Keys, bgp.PrefixKey(p))
-		}
+		ks.Keys = append(ks.Keys, u.Keys...)
 		ks.Updates = append(ks.Updates, KeyUpdate{Time: u.Time, Start: start, End: len(ks.Keys)})
 	}
 	return ks
 }
 
+// refUpdate is an update as the reference sees it: whole prefixes.
+type refUpdate struct {
+	time     Micros
+	prefixes []netip.Prefix
+}
+
+// keyUpdates converts reference updates to Updates.
+func keyUpdates(refs []refUpdate) []Update {
+	var out []Update
+	for _, r := range refs {
+		out = append(out, Update{Time: r.time, Keys: keysOf(r.prefixes)})
+	}
+	return out
+}
+
 // refFindEnd is the reference FindEnd is held to: the same end rule over
 // points counted with a map of whole prefixes.
-func refFindEnd(updates []Update, cfg Config) (Result, bool) {
+func refFindEnd(updates []refUpdate, cfg Config) (Result, bool) {
 	if len(updates) == 0 {
 		return Result{}, false
 	}
-	ups := append([]Update(nil), updates...)
-	sort.SliceStable(ups, func(i, j int) bool { return ups[i].Time < ups[j].Time })
+	ups := append([]refUpdate(nil), updates...)
+	sort.SliceStable(ups, func(i, j int) bool { return ups[i].time < ups[j].time })
 	seen := map[netip.Prefix]bool{}
 	points := make([]point, len(ups))
 	for i, u := range ups {
 		novel := 0
-		for _, p := range u.Prefixes {
+		for _, p := range u.prefixes {
 			if !seen[p] {
 				seen[p] = true
 				novel++
 			}
 		}
-		points[i] = point{time: u.Time, total: len(u.Prefixes), novel: novel, cumulen: len(seen)}
+		points[i] = point{time: u.time, total: len(u.prefixes), novel: novel, cumulen: len(seen)}
 	}
 	return cfg.withDefaults().end(points), true
 }
 
-// oddPrefixes are prefixes without a PrefixKey: IPv6, IPv4-mapped IPv6, an
-// IPv4 address with an out-of-range length, and the zero Prefix.
-var oddPrefixes = []netip.Prefix{
-	netip.MustParsePrefix("2001:db8::/32"),
-	netip.MustParsePrefix("2001:db8:1::/48"),
-	netip.MustParsePrefix("::ffff:10.0.0.0/104"),
-	netip.PrefixFrom(netip.AddrFrom4([4]byte{255, 255, 255, 255}), 33),
-	{},
-}
-
 // randomUpdates draws a stream of up to 60 updates: unsorted times with
-// ties, re-announced prefixes and empty updates. With odd set, some
-// announcements are oddPrefixes or unmasked IPv4 prefixes.
-func randomUpdates(rnd *rand.Rand, odd bool) []Update {
-	ups := make([]Update, 1+rnd.Intn(60))
+// ties, re-announced prefixes, empty updates and some prefixes with host
+// bits set, which are distinct from their masked form.
+func randomUpdates(rnd *rand.Rand) []refUpdate {
+	ups := make([]refUpdate, 1+rnd.Intn(60))
 	for i := range ups {
-		ups[i].Time = Micros(rnd.Intn(40)) * 100_000
+		ups[i].time = Micros(rnd.Intn(40)) * 100_000
 		for j := rnd.Intn(6); j > 0; j-- {
 			p := pfx(rnd.Intn(80))
-			if odd {
-				switch rnd.Intn(8) {
-				case 0:
-					p = oddPrefixes[rnd.Intn(len(oddPrefixes))]
-				case 1:
-					p = netip.PrefixFrom(p.Addr().Next(), 24) // host bits set
-				}
+			if rnd.Intn(8) == 0 {
+				p = netip.PrefixFrom(p.Addr().Next(), 24)
 			}
-			ups[i].Prefixes = append(ups[i].Prefixes, p)
+			ups[i].prefixes = append(ups[i].prefixes, p)
 		}
 	}
 	return ups
@@ -237,14 +246,15 @@ func randomUpdates(rnd *rand.Rand, odd bool) []Update {
 // branch of the end rule fires on randomUpdates' streams.
 var ruleConfigs = []Config{{}, {QuietGap: 300_000, NoveltyWindow: 500_000, MinNovelty: 0.5}}
 
-// TestFindEndMatchesReference holds FindEnd's key set, spill set included,
-// to a map of whole prefixes on random streams.
+// TestFindEndMatchesReference holds FindEnd's key set to a map of whole
+// prefixes on random streams.
 func TestFindEndMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
-		ups := randomUpdates(rnd, true)
+		refs := randomUpdates(rnd)
+		ups := keyUpdates(refs)
 		for _, cfg := range ruleConfigs {
-			want, wok := refFindEnd(ups, cfg)
+			want, wok := refFindEnd(refs, cfg)
 			got, gok := FindEnd(ups, cfg)
 			if got != want || gok != wok {
 				t.Fatalf("trial %d, %+v: FindEnd %+v/%v, reference %+v/%v", trial, cfg, got, gok, want, wok)
@@ -254,8 +264,8 @@ func TestFindEndMatchesReference(t *testing.T) {
 }
 
 // TestFindEndKeysMatchesFindEnd holds the key feeder to the map reference
-// and to FindEnd on random IPv4 streams. One stream serves every trial, as
-// a reassembly.Scanner's serves every connection, so no trial may see the
+// and to FindEnd on random streams. One stream serves every trial, as a
+// reassembly.Scanner's serves every connection, so no trial may see the
 // scratch of a longer stream before it.
 func TestFindEndKeysMatchesFindEnd(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
@@ -264,9 +274,10 @@ func TestFindEndKeysMatchesFindEnd(t *testing.T) {
 	}
 	ks := &KeyStream{}
 	for trial := 0; trial < 300; trial++ {
-		ups := randomUpdates(rnd, false)
+		refs := randomUpdates(rnd)
+		ups := keyUpdates(refs)
 		for _, cfg := range ruleConfigs {
-			want, wok := refFindEnd(ups, cfg)
+			want, wok := refFindEnd(refs, cfg)
 			fresh := keyStreamOf(ups)
 			ks.Reset()
 			ks.Keys = append(ks.Keys, fresh.Keys...)
@@ -276,7 +287,7 @@ func TestFindEndKeysMatchesFindEnd(t *testing.T) {
 				t.Fatalf("trial %d, %+v: keys %+v/%v, reference %+v/%v", trial, cfg, got, gok, want, wok)
 			}
 			if got, gok := FindEnd(ups, cfg); got != want || gok != wok {
-				t.Fatalf("trial %d, %+v: prefixes %+v/%v, reference %+v/%v", trial, cfg, got, gok, want, wok)
+				t.Fatalf("trial %d, %+v: FindEnd %+v/%v, reference %+v/%v", trial, cfg, got, gok, want, wok)
 			}
 		}
 	}
@@ -284,8 +295,8 @@ func TestFindEndKeysMatchesFindEnd(t *testing.T) {
 
 // refFromMRT is the reference FromMRT is held to: every record parsed
 // with bgp.Parse, keeping the UPDATEs that announce something.
-func refFromMRT(records []mrt.Record) []Update {
-	var out []Update
+func refFromMRT(records []mrt.Record) []refUpdate {
+	var out []refUpdate
 	for _, r := range records {
 		m, err := r.Message()
 		if err != nil {
@@ -295,14 +306,14 @@ func refFromMRT(records []mrt.Record) []Update {
 		if !ok || len(u.NLRI) == 0 {
 			continue
 		}
-		out = append(out, Update{Time: r.TimeMicros, Prefixes: u.NLRI})
+		out = append(out, refUpdate{time: r.TimeMicros, prefixes: u.NLRI})
 	}
 	return out
 }
 
-// randomRecords draws up to 40 archived messages: UPDATEs that announce,
-// withdraw or both, KEEPALIVEs and NOTIFICATIONs, some of them truncated
-// or with flipped bits.
+// randomRecords draws up to 40 archived messages at unsorted times with
+// ties: UPDATEs that announce, withdraw or both, KEEPALIVEs and
+// NOTIFICATIONs, some of them truncated or with flipped bits.
 func randomRecords(tb testing.TB, rnd *rand.Rand) []mrt.Record {
 	tb.Helper()
 	attrs := &bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: []uint16{1, 2}, NextHop: netip.MustParseAddr("10.0.0.1")}
@@ -336,38 +347,46 @@ func randomRecords(tb testing.TB, rnd *rand.Rand) []mrt.Record {
 		case 1:
 			raw[rnd.Intn(len(raw))] ^= byte(1 << rnd.Intn(8))
 		}
-		recs[i] = mrt.Record{TimeMicros: int64(i) * 1000, Raw: raw}
+		recs[i] = mrt.Record{TimeMicros: int64(rnd.Intn(40)) * 100_000, Raw: raw}
 	}
 	return recs
 }
 
 // TestFromMRTMatchesParse holds FromMRT to the Parse-based reference on
 // random archives: the same updates, times and prefixes, and nil when none
-// is left.
+// is left. FindEnd over FromMRT's updates must agree with the reference
+// end rule over the parsed prefixes.
 func TestFromMRTMatchesParse(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 500; trial++ {
 		recs := randomRecords(t, rnd)
-		if got, want := FromMRT(recs), refFromMRT(recs); !reflect.DeepEqual(got, want) {
+		got, refs := FromMRT(recs), refFromMRT(recs)
+		if want := keyUpdates(refs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: FromMRT %+v, reference %+v", trial, got, want)
+		}
+		for _, cfg := range ruleConfigs {
+			want, wok := refFindEnd(refs, cfg)
+			if end, ok := FindEnd(got, cfg); end != want || ok != wok {
+				t.Fatalf("trial %d, %+v: FindEnd %+v/%v, reference %+v/%v", trial, cfg, end, ok, want, wok)
+			}
 		}
 	}
 }
 
 // TestFromMRTAllocs checks that a warm FromMRT allocates its result only:
-// one prefix array shared by all updates, and the updates.
+// one key array shared by all updates, and the updates.
 func TestFromMRTAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
 	}
 	attrs := &bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: []uint16{1}, NextHop: netip.MustParseAddr("10.0.0.1")}
 	var recs []mrt.Record
-	for _, u := range transferStream(0, 200, 10_000) {
-		raw, err := (&bgp.Update{Attrs: attrs, NLRI: u.Prefixes}).Marshal()
+	for i := 0; i < 200; i++ {
+		raw, err := (&bgp.Update{Attrs: attrs, NLRI: updatePrefixes(i)}).Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, mrt.Record{TimeMicros: u.Time, Raw: raw})
+		recs = append(recs, mrt.Record{TimeMicros: int64(i) * 10_000, Raw: raw})
 	}
 	FromMRT(recs)
 	if allocs := testing.AllocsPerRun(20, func() { FromMRT(recs) }); allocs != 2 {
@@ -376,7 +395,7 @@ func TestFromMRTAllocs(t *testing.T) {
 }
 
 // TestFindEndKeysAllocs checks that warm FindEndKeys and FindEnd calls
-// over IPv4 prefixes allocate nothing: FindEndKeys's working set travels
+// allocate nothing: FindEndKeys's working set travels
 // with the reused stream, and FindEnd's is recycled across transfers
 // through a pool.
 func TestFindEndKeysAllocs(t *testing.T) {

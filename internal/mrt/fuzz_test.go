@@ -5,16 +5,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
-
-	"tdat/internal/bytepack"
+	"testing/iotest"
 )
 
 // nextAll is the reference ReadAll is held to: a loop over Next, whose
 // every Raw is a copy of its own.
-func nextAll(data []byte) ([]Record, error) {
-	rd := NewReader(bytes.NewReader(data))
+func nextAll(r io.Reader) ([]Record, error) {
+	rd := NewReader(r)
 	var out []Record
 	for {
 		rec, err := rd.Next()
@@ -31,12 +33,19 @@ func nextAll(data []byte) ([]Record, error) {
 // checkReadAll holds ReadAll to nextAll on one input: the same records,
 // metadata and bytes, the same partial result and the same error, which
 // is one of the package's sentinels. Appending to any record's Raw must
-// leave every other record's bytes as they were, although they share
-// blocks.
+// leave every other record's bytes as they were, although they share a
+// block.
 func checkReadAll(tb testing.TB, data []byte) {
 	tb.Helper()
-	got, err := ReadAll(bytes.NewReader(data))
-	want, wantErr := nextAll(data)
+	checkReadAllFrom(tb, func() io.Reader { return bytes.NewReader(data) })
+}
+
+// checkReadAllFrom is checkReadAll over the reader open returns, opened
+// once for each side.
+func checkReadAllFrom(tb testing.TB, open func() io.Reader) {
+	tb.Helper()
+	got, err := ReadAll(open())
+	want, wantErr := nextAll(open())
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		tb.Fatalf("ReadAll error %v, Next error %v", err, wantErr)
 	}
@@ -101,6 +110,8 @@ func readerSeeds(tb testing.TB) [][]byte {
 		append(header(1, TypeBGP4MPET, SubtypeMessage, 2), 0, 0),         // short ET timestamp
 		ipv6, // non-IPv4 AFI
 		append(append(header(1, 99, 1, 4), 0, 0, 0, 0), valid...), // unknown type
+		header(1, TypeBGP4MPET, SubtypeMessage, 20),               // a header with no body bytes
+		append(valid[:len(valid):len(valid)], valid[:5]...),       // a valid record, then a partial header
 	}
 }
 
@@ -118,26 +129,103 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// TestReadAllBlocks runs checkReadAll over an archive that fills several
-// record and message-byte blocks and holds a record too large for one
-// block, whole and cut short at a few points.
-func TestReadAllBlocks(t *testing.T) {
-	var recs []Record
-	for i := 0; i < 3*recordBlock; i++ {
-		rec := sampleRecord(t, int64(i))
+// bigArchive writes a few thousand records of varied size, larger than
+// ReadAll's first read when it knows no size, with records it skips (an
+// unknown type, a non-IPv4 AFI) between them, one record without message
+// bytes and one larger than a bufio.Reader's buffer.
+func bigArchive(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	for i := 0; i < 1500; i++ {
+		rec := sampleRecord(tb, int64(i))
 		rec.Raw = append(rec.Raw, bytes.Repeat([]byte{byte(i)}, i%300)...)
-		recs = append(recs, rec)
+		switch i {
+		case 7:
+			rec.Raw = nil
+		case 500:
+			rec.Raw = bytes.Repeat([]byte{0x42}, 5000)
+		}
+		one := archive(tb, rec)
+		switch i % 97 {
+		case 3:
+			buf.Write(append(header(1, 99, 1, 4), 0, 0, 0, 0))
+		case 5:
+			binary.BigEndian.PutUint16(one[16+6:16+8], 2) // this record's AFI
+		}
+		buf.Write(one)
 	}
-	big := sampleRecord(t, 1)
-	big.Raw = bytes.Repeat([]byte{0x42}, bytepack.MinBlock+1)
-	recs = append(recs[:recordBlock], append([]Record{big}, recs[recordBlock:]...)...)
-	data := archive(t, recs...)
+	return buf.Bytes()
+}
+
+// TestReadAllBlocks checks that ReadAll's records keep only their own
+// message bytes: every non-empty Raw starts where the one before it ends,
+// in one block that holds no MRT header and no skipped record. It runs
+// checkReadAll over the same archive, whole and cut short at a few points.
+func TestReadAllBlocks(t *testing.T) {
+	data := bigArchive(t)
+	got, err := ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []byte
+	for i, rec := range got {
+		if len(rec.Raw) == 0 {
+			continue
+		}
+		if prev != nil && reflect.ValueOf(rec.Raw).Pointer() != reflect.ValueOf(prev).Pointer()+uintptr(len(prev)) {
+			t.Fatalf("record %d's message bytes do not follow the previous record's", i)
+		}
+		prev = rec.Raw
+	}
 	checkReadAll(t, data)
-	if got, err := ReadAll(bytes.NewReader(data)); err != nil || len(got) != len(recs) {
-		t.Fatalf("read %d of %d records, err %v", len(got), len(recs), err)
-	}
-	for _, cut := range []int{1, 5, 12, bytepack.MinBlock / 2} {
+	for _, cut := range []int{1, 5, 12, len(data) / 2} {
 		checkReadAll(t, data[:len(data)-cut])
+	}
+}
+
+// errRead is the error the failing readers of TestReadAllSources return.
+var errRead = errors.New("read failed")
+
+// TestReadAllSources holds ReadAll to the Next loop over the inputs it
+// reads differently from an in-memory reader: an *os.File, whose Stat
+// sizes the buffer; readers with neither Len nor Stat, read through the
+// growth path; and readers that return bytes and then fail with an error
+// other than io.EOF, mid-header, mid-body and between records.
+func TestReadAllSources(t *testing.T) {
+	data := bigArchive(t)
+	path := filepath.Join(t.TempDir(), "updates.mrt")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	one := len(archive(t, sampleRecord(t, 0)))
+	failAt := func(n int) func() io.Reader {
+		return func() io.Reader { return io.MultiReader(bytes.NewReader(data[:n]), iotest.ErrReader(errRead)) }
+	}
+	for name, open := range map[string]func() io.Reader{
+		"file": func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		},
+		"no size":        func() io.Reader { return struct{ io.Reader }{bytes.NewReader(data)} },
+		"one byte":       func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) },
+		"data with EOF":  func() io.Reader { return iotest.DataErrReader(bytes.NewReader(data)) },
+		"fail at start":  failAt(0),
+		"fail at record": failAt(one), // the first record has no extra bytes
+		"fail in header": failAt(one + 5),
+		"fail in body":   failAt(one + 20),
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkReadAllFrom(t, open)
+			got, err := ReadAll(open())
+			failed := err != nil && strings.Contains(err.Error(), errRead.Error())
+			if failed != strings.HasPrefix(name, "fail") || !failed && err != nil {
+				t.Fatalf("read %d records, err %v", len(got), err)
+			}
+		})
 	}
 }
 

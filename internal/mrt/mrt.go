@@ -12,11 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/netip"
 	"slices"
 
 	"tdat/internal/bgp"
-	"tdat/internal/bytepack"
 )
 
 // MRT type and subtype codes (RFC 6396).
@@ -98,12 +98,16 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // Reader reads MRT records. Records of types other than
 // BGP4MP/BGP4MP_ET + BGP4MP_MESSAGE are skipped.
 type Reader struct {
-	r *bufio.Reader
-	// hdr and body are the record scratch buffers. They live on the Reader
-	// because a stack array passed to io.ReadFull escapes, costing one heap
-	// allocation per record; body keeps the largest record read so far.
-	hdr  [12]byte
-	body []byte
+	r *bufio.Reader // the stream; nil for ReadAll's in-memory input
+	// buf and err are ReadAll's input: the bytes not yet decoded, and the
+	// error other than io.EOF that ended them, if any.
+	buf []byte
+	err error
+	// scratch holds the stream's last read, header or body. It lives on
+	// the Reader because a stack array passed to io.ReadFull escapes,
+	// costing one heap allocation per record; it keeps the largest record
+	// read so far.
+	scratch []byte
 }
 
 // NewReader creates a Reader.
@@ -118,12 +122,37 @@ func (r *Reader) Next() (Record, error) {
 	return rec, err
 }
 
-// next is Next into rec, with rec.Raw a view of the reader's body buffer,
-// valid until the next read. On error rec is left as it was.
+// read returns the next n bytes of the input: from the stream, read into
+// the scratch buffer; from ReadAll's input, a view of it. Short of n bytes
+// it returns the error io.ReadFull would, so both inputs fail alike.
+func (r *Reader) read(n int) ([]byte, error) {
+	if r.r != nil {
+		r.scratch = slices.Grow(r.scratch[:0], n)[:n]
+		_, err := io.ReadFull(r.r, r.scratch)
+		return r.scratch, err
+	}
+	if n <= len(r.buf) {
+		b := r.buf[:n]
+		r.buf = r.buf[n:]
+		return b, nil
+	}
+	got := len(r.buf)
+	r.buf = r.buf[got:]
+	switch {
+	case r.err != nil:
+		return nil, r.err
+	case got > 0:
+		return nil, io.ErrUnexpectedEOF
+	}
+	return nil, io.EOF
+}
+
+// next is Next into rec, with rec.Raw a view of the input's bytes, valid
+// until the next read. On error rec is left as it was.
 func (r *Reader) next(rec *Record) error {
 	for {
-		hdr := &r.hdr
-		if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+		hdr, err := r.read(12)
+		if err != nil {
 			if err == io.EOF {
 				return io.EOF
 			}
@@ -136,9 +165,8 @@ func (r *Reader) next(rec *Record) error {
 		if length > 1<<20 {
 			return fmt.Errorf("%w: implausible length %d", ErrBadRecord, length)
 		}
-		body := slices.Grow(r.body[:0], int(length))[:length]
-		r.body = body
-		if _, err := io.ReadFull(r.r, body); err != nil {
+		body, err := r.read(int(length))
+		if err != nil {
 			return fmt.Errorf("%w: body: %v", ErrTruncated, err)
 		}
 		isET := typ == TypeBGP4MPET
@@ -170,43 +198,82 @@ func (r *Reader) next(rec *Record) error {
 	}
 }
 
-// recordBlock is how many records ReadAll gathers at a time.
-const recordBlock = 512
+// minRead is ReadAll's first buffer size when it does not know the
+// input's size, and the least it grows a full buffer by.
+const minRead = 64 << 10
 
 // ReadAll drains the reader. It returns the records read before a failure
-// together with the error. Every record's Raw is a capped view into a block
-// of message bytes shared with its neighbours (bytepack): appending to one
-// reallocates it and leaves the others intact. The result is allocated
-// once, at exact size, from fixed-size blocks of records.
+// together with the error, as a loop over Next would. The input is read
+// once, into one buffer sized from the reader's Len or, for a regular
+// file, its Stat, and decoded twice: once to count the records and their
+// message bytes, then to copy those bytes into one block of exactly that
+// size. Every record's Raw is a capped view into the block, so appending
+// to one reallocates it and leaves the others intact; the records keep
+// only their own message bytes alive, never the MRT headers or the
+// records skipped. The result is allocated once, at exact size.
 func ReadAll(r io.Reader) ([]Record, error) {
-	rd := NewReader(r)
+	rd := Reader{}
+	rd.buf, rd.err = readInput(r)
+	input := rd.buf
 	var (
-		full [][]Record // filled record blocks
-		recs []Record   // the block being filled
-		pack bytepack.Packer
+		n, size int
+		rec     Record
+		err     error
 	)
+	for ; ; n++ {
+		if err = rd.next(&rec); err != nil {
+			break
+		}
+		size += len(rec.Raw)
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	if n == 0 {
+		return nil, err
+	}
+	recs := make([]Record, n)
+	block := make([]byte, 0, size)
+	rd.buf = input
+	for i := range recs {
+		_ = rd.next(&recs[i]) // the first n records decoded above
+		if raw := recs[i].Raw; len(raw) > 0 {
+			block = append(block, raw...)
+			recs[i].Raw = block[len(block)-len(raw) : len(block) : len(block)]
+		} else {
+			recs[i].Raw = nil // as Next returns it
+		}
+	}
+	return recs, err
+}
+
+// readInput reads r to its end. It returns the bytes read and the error
+// that stopped it, nil at io.EOF. The reader's Len, or a regular file's
+// size, sizes the buffer, but only as a hint: the input is read to its
+// end, however long, and a buffer that fills up grows geometrically, by at
+// least minRead bytes at a time.
+func readInput(r io.Reader) ([]byte, error) {
+	size := minRead
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = s.Len() + 1 // one byte past the end, so the read that sees io.EOF needs no growth
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size()) + 1
+		}
+	}
+	buf := make([]byte, 0, size)
 	for {
-		if len(recs) == cap(recs) {
-			if recs != nil {
-				full = append(full, recs)
-			}
-			recs = make([]Record, 0, recordBlock)
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, max(len(buf), minRead))
 		}
-		rec := &recs[:len(recs)+1][len(recs)]
-		if err := rd.next(rec); err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			if len(full) == 0 && len(recs) == 0 {
-				return nil, err
-			}
-			out := make([]Record, 0, len(full)*recordBlock+len(recs))
-			for _, b := range full {
-				out = append(out, b...)
-			}
-			return append(out, recs...), err
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
 		}
-		rec.Raw = pack.Copy(rec.Raw) // nil when empty, as Next returns it
-		recs = recs[:len(recs)+1]
+		if err != nil {
+			return buf, err
+		}
 	}
 }

@@ -42,6 +42,10 @@ func TestCatalogHas34Series(t *testing.T) {
 			t.Errorf("series %q is nil", n)
 		}
 	}
+	// Generate sizes its map for All: it must store those series only.
+	if len(cat.sets) != len(All) {
+		t.Errorf("catalog stores %d series, want the %d of All", len(cat.sets), len(All))
+	}
 	if cat.Get(Name("NoSuchSeries")).Len() != 0 {
 		t.Error("unknown series should be empty")
 	}

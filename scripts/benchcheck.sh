@@ -27,8 +27,9 @@ raw="$dir/bench.txt"
 # extraction and the paper-scale transfer, whose B/op ceiling only an
 # Analyzer that keeps its transfer-end working set meets (root package),
 # then the zero-copy microbenchmarks, then the MRT archive path (tdat
-# -mrt), then the timer knee over a paper-scale curve, whose ns/op ceiling
-# only an O(n) pass meets. -benchtime counts
+# -mrt) and the archive read under it, whose allocs/op ceiling only a
+# one-pass read meets, then the timer knee over a paper-scale curve, whose
+# ns/op ceiling only an O(n) pass meets. -benchtime counts
 # both in iterations-or-seconds; 1s is enough for stable allocs/op, which
 # is what the tight floors gate. The output goes to the file first and is shown
 # after: piping into tee would hide a failing benchmark behind tee's exit
@@ -44,6 +45,8 @@ status=0
 			-benchmem -benchtime 1s ./internal/pcapio &&
 		go test -run '^$' -bench 'BenchmarkAnalyzeWithArchive$' \
 			-benchmem -benchtime 1s ./cmd/tdat &&
+		go test -run '^$' -bench 'BenchmarkReadAll$' \
+			-benchmem -benchtime 1s ./internal/mrt &&
 		go test -run '^$' -bench 'BenchmarkGapKnee$' \
 			-benchmem -benchtime 1s ./internal/knee
 } > "$raw" || status=$?
