@@ -2,7 +2,9 @@ package bytepack
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // TestCopyViews checks the view contract: each copy holds its source's
@@ -62,4 +64,67 @@ func TestBlockSizing(t *testing.T) {
 		t.Errorf("%d blocks for %d bytes kept, want a logarithmic count", blocks, p.kept)
 	}
 	t.Logf("%d blocks for %d bytes kept", blocks, p.kept)
+}
+
+// TestResetRefillsBlocks checks the reset rule over three captures: the
+// second refills the first one's blocks, in the order they were filled,
+// with capped views, before it allocates; a copy too large for the next
+// kept block gets a new block and leaves that one next in line; and the
+// blocks a capture leaves unused are dropped at the following Reset.
+func TestResetRefillsBlocks(t *testing.T) {
+	var p Packer
+	pkt := bytes.Repeat([]byte{7}, 1448)
+	fill := func(n int) [][]byte {
+		views := make([][]byte, n)
+		for i := range views {
+			views[i] = p.Copy(pkt)
+		}
+		return views
+	}
+	base := func(b []byte) *byte { return unsafe.SliceData(b) }
+
+	fill(3 * MinBlock / len(pkt)) // three blocks of MinBlock
+	first := slices.Clone(p.filled)
+	if len(first) != 3 {
+		t.Fatalf("first capture filled %d blocks, want 3", len(first))
+	}
+	p.Reset()
+	views := fill(MinBlock/len(pkt) + 1) // the first block and the start of the second
+	if len(p.filled) != 2 || base(p.filled[0]) != base(first[0]) || base(p.filled[1]) != base(first[1]) {
+		t.Fatal("the second capture did not refill the first capture's blocks in order")
+	}
+	if base(views[0]) != base(first[0]) {
+		t.Error("the first copy after Reset does not start the first kept block")
+	}
+	big := bytes.Repeat([]byte{9}, MinBlock+1)
+	if v := p.Copy(big); !bytes.Equal(v, big) || len(p.filled) != 3 || base(p.filled[2]) == base(first[2]) {
+		t.Fatal("a copy larger than the next kept block did not get a new block")
+	}
+	views = append(views, fill(MinBlock/len(pkt))...) // fills the rest of the second block, then the third
+	if len(p.filled) != 4 || base(p.filled[3]) != base(first[2]) {
+		t.Fatal("the kept block passed over for a large copy was not next in line")
+	}
+	for i, v := range views {
+		if cap(v) != len(v) {
+			t.Fatalf("view %d: cap %d, len %d", i, cap(v), len(v))
+		}
+		_ = append(v, 1, 2, 3)
+	}
+	for i, v := range views {
+		if !bytes.Equal(v, pkt) {
+			t.Fatalf("view %d changed after appends to its neighbours", i)
+		}
+	}
+
+	p.Reset()
+	fill(1) // the third capture uses only the first block
+	p.Reset()
+	if len(p.spare) != 1 || base(p.spare[0]) != base(first[0]) {
+		t.Fatalf("Reset kept %d blocks, want the one the last capture filled", len(p.spare))
+	}
+	for _, b := range append(p.spare[1:cap(p.spare)], p.filled[:cap(p.filled)]...) {
+		if b != nil {
+			t.Fatal("the Packer still holds a block the last capture left unused")
+		}
+	}
 }

@@ -7,6 +7,7 @@ package core
 import (
 	"io"
 
+	"tdat/internal/bytepack"
 	"tdat/internal/detect"
 	"tdat/internal/explain"
 	"tdat/internal/factors"
@@ -84,6 +85,13 @@ type Analyzer struct {
 	// scanned (~15 MB for a 300k-route table) for as long as the Analyzer
 	// lives.
 	scanners chan *reassembly.Scanner
+	// packers keeps the payload blocks of the last capture for the next
+	// one (see packer). Only a capture that follows another on the same
+	// Analyzer refills kept blocks: none does in tdat, which analyzes one
+	// capture per Analyzer. One slot serves captures analyzed in turn; a
+	// capture that overlaps another allocates its own blocks, and at most
+	// one packer is kept when both return.
+	packers chan *bytepack.Packer
 }
 
 // New creates an Analyzer. The Obs hook (when set) is threaded through to
@@ -96,6 +104,7 @@ func New(cfg Config) *Analyzer {
 	}
 	a := &Analyzer{cfg: cfg}
 	a.scanners = make(chan *reassembly.Scanner, a.workers())
+	a.packers = make(chan *bytepack.Packer, 1)
 	return a
 }
 
@@ -167,7 +176,8 @@ type Report struct {
 
 // AnalyzePcap reads a pcap stream and analyzes every connection in it.
 // Ingest is streamed: connection analysis starts on the worker pool while
-// the trace is still being read (see AnalyzePcapWith).
+// the trace is still being read (see AnalyzePcapWith). The report carries
+// no payload bytes.
 func (a *Analyzer) AnalyzePcap(r io.Reader) (*Report, error) {
 	return a.AnalyzePcapWith(r, a.AnalyzeConnection)
 }
@@ -342,6 +352,30 @@ func (a *Analyzer) scanner() *reassembly.Scanner {
 func (a *Analyzer) release(s *reassembly.Scanner) {
 	select {
 	case a.scanners <- s:
+	default:
+	}
+}
+
+// packer takes a payload packer from the Analyzer for one capture's
+// demuxer, or makes one when none is free.
+func (a *Analyzer) packer() *bytepack.Packer {
+	select {
+	case p := <-a.packers:
+		return p
+	default:
+		return new(bytepack.Packer)
+	}
+}
+
+// releasePacker resets p, keeping the blocks its capture filled for the
+// next capture, and gives it back to the Analyzer, or drops it when the
+// Analyzer already keeps one. Every analysis of the capture must have
+// returned, and with it cleared its connection's payload views (see
+// guard.analyze): the next capture overwrites the blocks.
+func (a *Analyzer) releasePacker(p *bytepack.Packer) {
+	p.Reset()
+	select {
+	case a.packers <- p:
 	default:
 	}
 }

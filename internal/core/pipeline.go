@@ -86,9 +86,14 @@ type guard struct {
 }
 
 // analyze runs fn(c), recovering a panic into a recorded failure (the
-// returned report is then nil and merge skips the connection).
+// returned report is then nil and merge skips the connection). Once fn
+// returns or panics, it clears c's payload views: they point into the
+// capture's packer, whose blocks the Analyzer's next capture refills.
 func (g *guard) analyze(fn func(*flows.Connection) *TransferReport, c *flows.Connection) (tr *TransferReport) {
 	defer func() {
+		for i := range c.Data {
+			c.Data[i].Payload = nil
+		}
 		if r := recover(); r != nil {
 			if o := g.a.cfg.Obs; o != nil {
 				o.Reg.Counter("tdat_analysis_panics_total").Inc()
@@ -126,9 +131,12 @@ func (g *guard) merge(rep *Report, results []*TransferReport) {
 // AnalyzePackets analyzes pre-decoded packets, fanning connections out to
 // the configured worker pool and merging reports in extraction order.
 // A connection whose analysis panics is dropped into Report.Failures.
+// Payloads are copied into blocks the Analyzer reuses for its next
+// capture, so the report carries no payload bytes.
 func (a *Analyzer) AnalyzePackets(pkts []flows.TimedPacket) *Report {
 	o := a.cfg.Obs
-	conns, ds := flows.ExtractOptsStats(pkts, a.cfg.Flows)
+	pack := a.packer()
+	conns, ds := flows.ExtractOptsStats(pkts, a.cfg.Flows, pack)
 	if o != nil {
 		o.Reg.Gauge("tdat_pool_workers").Set(int64(a.workers()))
 	}
@@ -144,6 +152,7 @@ func (a *Analyzer) AnalyzePackets(pkts []flows.TimedPacket) *Report {
 		}
 		return tr
 	})
+	a.releasePacker(pack)
 	rep := &Report{}
 	rep.Degradation.fromDemux(ds)
 	g.merge(rep, results)
@@ -167,6 +176,10 @@ func (a *Analyzer) span(stage obs.Stage) obs.Span {
 // artifacts); a truncated tail is tolerated like the paper treats sniffer
 // drop gaps, unless nothing at all was readable. A connection whose
 // analysis panics lands in Report.Failures; the rest of the run completes.
+//
+// Payloads are copied into blocks the Analyzer reuses for its next
+// capture. analyze may read a connection's payloads only until it returns;
+// they are cleared then, so the report carries no payload bytes.
 func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) *TransferReport) (*Report, error) {
 	pr, err := pcapio.NewReader(r)
 	if err != nil {
@@ -275,13 +288,15 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 		}
 		jobs <- j
 	})
+	pack := a.packer()
+	d.UsePacker(pack)
 
 	// Zero-copy ingest: one reused record buffer (pcapio.ReadInto) and one
 	// reused packet struct (packet.DecodeInto). The demuxer copies what it
-	// keeps into per-connection columnar storage before Add returns, so
-	// nothing downstream aliases either buffer. With observability on,
-	// three clock reads per record split the time between the decode and
-	// demux stages.
+	// keeps into per-connection columnar storage and the packer's blocks
+	// before Add returns, so nothing downstream aliases either buffer.
+	// With observability on, three clock reads per record split the time
+	// between the decode and demux stages.
 	var pkt packet.Packet
 	records, skipped := 0, 0
 	readErr := pr.EachInto(func(rec pcapio.Record) error {
@@ -317,6 +332,7 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 		close(jobs)
 		wg.Wait()
 	}
+	a.releasePacker(pack)
 	if readErr != nil {
 		if a.cfg.Strict {
 			if errors.Is(readErr, ErrStrict) {

@@ -140,7 +140,9 @@ func TestObservabilityNeverChangesOutput(t *testing.T) {
 func TestPanicRecoveredIntoReport(t *testing.T) {
 	// One connection's analysis panicking must cost exactly that connection:
 	// the rest of the run completes, the failure lands on the report with
-	// the 4-tuple, and the panic counter ticks — at any worker count.
+	// the 4-tuple, and the panic counter ticks — at any worker count. The
+	// victim's payload views are cleared all the same, since the next
+	// capture refills their blocks.
 	const conns = 6
 	pkts := multiConnPackets(t, conns)
 	data, _ := writePcap(t, pkts, 0)
@@ -148,10 +150,12 @@ func TestPanicRecoveredIntoReport(t *testing.T) {
 		o := obs.New()
 		a := New(Config{Workers: w, Obs: o})
 		var victim string
+		var victimConn *flows.Connection
 		rep, err := a.AnalyzePcapWith(bytes.NewReader(data), func(c *flows.Connection) *TransferReport {
 			// Deterministic victim: the lowest sender address.
 			if c.Sender.Addr == netip.AddrFrom4([4]byte{10, 1, 0, 1}) {
 				victim = c.Sender.String() + "->" + c.Receiver.String()
+				victimConn = c
 				panic("synthetic analysis bug")
 			}
 			return a.AnalyzeConnection(c)
@@ -177,6 +181,14 @@ func TestPanicRecoveredIntoReport(t *testing.T) {
 		}
 		if o.Reg.Gauge("tdat_conns_in_flight").Value() != 0 {
 			t.Errorf("workers=%d: conns_in_flight gauge not drained after panic", w)
+		}
+		if len(victimConn.Data) == 0 {
+			t.Fatalf("workers=%d: the victim carried no data", w)
+		}
+		for i, d := range victimConn.Data {
+			if d.Payload != nil {
+				t.Fatalf("workers=%d: the panicked analysis left the payload of data event %d", w, i)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -13,6 +14,8 @@ import (
 	"tdat/internal/flows"
 	"tdat/internal/mct"
 	"tdat/internal/oracle"
+	"tdat/internal/packet"
+	"tdat/internal/pcapio"
 	"tdat/internal/reassembly"
 	"tdat/internal/tcpsim"
 	"tdat/internal/tracegen"
@@ -137,6 +140,32 @@ func TestTransferEndMatchesParse(t *testing.T) {
 	}
 }
 
+// demuxLeniently extracts a capture's connections as AnalyzePcap reads it
+// on its lenient path: records that do not decode are skipped, and damage
+// ends the capture, keeping what was read before it. The connections keep
+// their payloads, which AnalyzePcap's report does not.
+func demuxLeniently(t *testing.T, data []byte) []*flows.Connection {
+	t.Helper()
+	pr, err := pcapio.NewReader(bytes.NewReader(data))
+	if errors.Is(err, pcapio.ErrTruncated) {
+		return nil // an empty capture
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []*flows.Connection
+	d := flows.NewDemuxer(core.Config{}.Flows, func(_ int, c *flows.Connection) { conns = append(conns, c) })
+	var pkt packet.Packet
+	_ = pr.EachInto(func(rec pcapio.Record) error { // damage is a degradation, as in AnalyzePcap
+		if packet.DecodeInto(rec.Data, &pkt) == nil {
+			d.Add(flows.TimedPacket{Time: rec.TimeMicros, Pkt: &pkt})
+		}
+		return nil
+	})
+	d.Finish()
+	return conns
+}
+
 // TestTransferEndMatchesParseOnCorpus holds the scan to the reference on
 // the committed adversarial captures, whose damage includes a corrupt BGP
 // length field, and under a cap that leaves barely a header.
@@ -152,13 +181,13 @@ func TestTransferEndMatchesParseOnCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			conns := demuxLeniently(t, data)
 			rep, err := core.New(core.Config{Workers: 1}).AnalyzePcap(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var conns []*flows.Connection
-			for _, tr := range rep.Transfers {
-				conns = append(conns, tr.Conn)
+			if len(rep.Transfers) != len(conns) {
+				t.Fatalf("demuxed %d connections, AnalyzePcap reported %d", len(conns), len(rep.Transfers))
 			}
 			_, d, tr := checkEnds(t, conns, 64, 1_000)
 			damaged, truncated = damaged+d, truncated+tr

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tdat/internal/flows"
+	"tdat/internal/obs"
 	"tdat/internal/tracegen"
 )
 
@@ -123,6 +124,88 @@ func TestWarmTransferEndAllocatesNothing(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(10, func() { a.reassembleEnd(conns[0], &tr) }); allocs != 0 {
 			t.Errorf("%d routes: a warm transfer end allocates %.1f times, want 0", sc.Routes, allocs)
+		}
+	}
+}
+
+// TestRecycledPayloadBlocks holds the capture-level entries to the payload
+// recycling contract. One Analyzer analyzes capture A, keeps the report,
+// analyzes capture B, whose payloads refill A's blocks, and then A again.
+// No report may carry a payload view, and every report, the kept one
+// included, must render its text, JSON and evidence exactly as a fresh
+// Analyzer's does. It runs both entries at workers 1 and 2, with
+// observability off and on (on, AnalyzePcap takes the pool path even at
+// one worker). Run it under -race.
+func TestRecycledPayloadBlocks(t *testing.T) {
+	pkts := [][]flows.TimedPacket{
+		multiConnPackets(t, 4),
+		tracegen.Run(tracegen.Scenario{Kind: tracegen.KindUpstreamLoss, Seed: 512010, Routes: 1_500}).Packets(),
+	}
+	var pcaps [][]byte
+	for _, p := range pkts {
+		data, _ := writePcap(t, p, 0)
+		pcaps = append(pcaps, data)
+	}
+	entries := []struct {
+		name    string
+		analyze func(a *Analyzer, capture int) (*Report, error)
+	}{
+		{"AnalyzePcap", func(a *Analyzer, i int) (*Report, error) { return a.AnalyzePcap(bytes.NewReader(pcaps[i])) }},
+		{"AnalyzePackets", func(a *Analyzer, i int) (*Report, error) { return a.AnalyzePackets(pkts[i]), nil }},
+	}
+	render := func(rep *Report) []byte {
+		out := serializeReport(t, rep)
+		ex := rep.Explain()
+		buf := bytes.NewBuffer(out)
+		if err := ex.WriteText(buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.WriteJSON(buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, e := range entries {
+		for _, workers := range []int{1, 2} {
+			for _, withObs := range []bool{false, true} {
+				name := fmt.Sprintf("%s workers=%d obs=%v", e.name, workers, withObs)
+				analyzer := func() *Analyzer {
+					cfg := Config{Workers: workers, Explain: true}
+					if withObs {
+						cfg.Obs = obs.New()
+					}
+					return New(cfg)
+				}
+				analyze := func(a *Analyzer, i int) *Report {
+					rep, err := e.analyze(a, i)
+					if err != nil {
+						t.Fatalf("%s, capture %d: %v", name, i, err)
+					}
+					if len(rep.Transfers) == 0 || len(rep.Failures) > 0 {
+						t.Fatalf("%s, capture %d: %d transfers, failures %v", name, i, len(rep.Transfers), rep.Failures)
+					}
+					return rep
+				}
+				want := [][]byte{render(analyze(analyzer(), 0)), render(analyze(analyzer(), 1))}
+				a := analyzer()
+				order := []int{0, 1, 0}
+				var reps []*Report
+				for _, i := range order {
+					reps = append(reps, analyze(a, i))
+				}
+				for k, rep := range reps {
+					for _, tr := range rep.Transfers {
+						for j, d := range tr.Conn.Data {
+							if d.Payload != nil {
+								t.Fatalf("%s, analysis %d: %v keeps the payload of data event %d", name, k, tr.Conn.Sender, j)
+							}
+						}
+					}
+					if !bytes.Equal(render(rep), want[order[k]]) {
+						t.Errorf("%s, analysis %d: report differs from a fresh Analyzer's", name, k)
+					}
+				}
+			}
 		}
 	}
 }

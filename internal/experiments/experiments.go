@@ -133,6 +133,12 @@ func RunDatasetWorkers(p tracegen.DatasetProfile, workers int) *Dataset {
 			for _, c := range conns {
 				rep.Transfers = append(rep.Transfers,
 					analyzer.AnalyzeConnectionWithUpdates(c, archiveUpdates(tr)))
+				// Analysis is done; drop payload bytes (AnalyzePackets'
+				// reports carry none) so retaining thousands of analyzed
+				// transfers (the full paper scale) stays within memory.
+				for i := range c.Data {
+					c.Data[i].Payload = nil
+				}
 			}
 		} else {
 			rep = analyzer.AnalyzePackets(pkts)
@@ -149,13 +155,6 @@ func RunDatasetWorkers(p tracegen.DatasetProfile, workers int) *Dataset {
 		}
 		for _, c := range tr.Captures {
 			at.Bytes += int64(c.Pkt.WireLen())
-		}
-		// Analysis is done; drop payload bytes so retaining thousands of
-		// analyzed transfers (the full paper scale) stays within memory.
-		for _, rt := range rep.Transfers {
-			for i := range rt.Conn.Data {
-				rt.Conn.Data[i].Payload = nil
-			}
 		}
 		return at
 	})

@@ -102,7 +102,9 @@ type DataEvent struct {
 	// length-only traces); reassembly uses it to reconstruct the BGP
 	// stream. It is a capped view into a block shared with other packets
 	// of the capture, other connections' included: appending to it
-	// reallocates, and holding it keeps the whole block alive.
+	// reallocates, and holding it keeps the whole block alive. core's
+	// capture-level entries recycle the blocks: an analyze callback may
+	// read a payload only until it returns, and their reports carry none.
 	Payload []byte
 }
 
@@ -319,14 +321,15 @@ type rawConn struct {
 // Extract groups packets into connections and analyzes each with default
 // options. Connections are returned in order of first packet.
 func Extract(pkts []TimedPacket) []*Connection {
-	conns, _ := ExtractOptsStats(pkts, DefaultOptions())
+	conns, _ := ExtractOptsStats(pkts, DefaultOptions(), new(bytepack.Packer))
 	return conns
 }
 
-// ExtractOptsStats is Extract with explicit classification options, also
-// returning the demuxer's degradation statistics (evictions, resumed
-// connections, timestamp regressions).
-func ExtractOptsStats(pkts []TimedPacket, opts Options) ([]*Connection, DemuxStats) {
+// ExtractOptsStats is Extract with explicit classification options and
+// payloads copied into pack (see Demuxer.UsePacker), also returning the
+// demuxer's degradation statistics (evictions, resumed connections,
+// timestamp regressions).
+func ExtractOptsStats(pkts []TimedPacket, opts Options, pack *bytepack.Packer) ([]*Connection, DemuxStats) {
 	sorted := pkts
 	if !timeSorted(pkts) {
 		sorted = append([]TimedPacket(nil), pkts...)
@@ -335,6 +338,7 @@ func ExtractOptsStats(pkts []TimedPacket, opts Options) ([]*Connection, DemuxSta
 
 	byIdx := map[int]*Connection{}
 	d := NewDemuxer(opts, func(idx int, c *Connection) { byIdx[idx] = c })
+	d.UsePacker(pack)
 	for _, tp := range sorted {
 		d.Add(tp)
 	}
@@ -387,8 +391,9 @@ type Demuxer struct {
 	disorder bool
 	finished bool
 
-	// pack holds the copy of every payload Add keeps, for all connections.
-	pack bytepack.Packer
+	// pack holds the copy of every payload Add keeps, for all connections
+	// (see UsePacker).
+	pack *bytepack.Packer
 
 	// stats feeds the degradation report (see Stats).
 	stats DemuxStats
@@ -437,6 +442,7 @@ func NewDemuxer(opts Options, emit func(index int, c *Connection)) *Demuxer {
 		opts:  opts.withDefaults(),
 		emit:  emit,
 		index: map[Key]*rawConn{},
+		pack:  new(bytepack.Packer),
 	}
 	if o := opts.Obs; o != nil {
 		d.packetsC = o.Reg.Counter("tdat_demux_packets_total")
@@ -448,6 +454,12 @@ func NewDemuxer(opts Options, emit func(index int, c *Connection)) *Demuxer {
 	}
 	return d
 }
+
+// UsePacker makes d copy payloads into p's blocks in place of its own, so
+// that a caller who Resets p once every emitted connection is done with
+// its payloads has the next capture refill the same blocks. Call it before
+// the first Add.
+func (d *Demuxer) UsePacker(p *bytepack.Packer) { d.pack = p }
 
 // Stats returns the run's demux statistics (valid any time; final after
 // Finish).

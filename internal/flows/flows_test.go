@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"tdat/internal/bytepack"
 	"tdat/internal/packet"
 )
 
@@ -187,7 +188,7 @@ func TestDisableReorderFilterAblation(t *testing.T) {
 	b.handshake(0, 10_000, 0, 0, 1460)
 	b.add(20_500, senderEP, receiverEP, 1, 1, packet.FlagACK, 65535, 1460)
 	b.add(20_000, senderEP, receiverEP, 1461, 1, packet.FlagACK, 65535, 1460)
-	conns, _ := ExtractOptsStats(b.pkts, Options{DisableReorderFilter: true})
+	conns, _ := ExtractOptsStats(b.pkts, Options{DisableReorderFilter: true}, new(bytepack.Packer))
 	if conns[0].UpstreamLoss.Empty() {
 		t.Error("with the filter disabled, reordering must count as upstream loss")
 	}
@@ -397,7 +398,7 @@ func TestMaxTrackedEvictsOldest(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.MaxTracked = 2
-	conns, stats := ExtractOptsStats(b.pkts, opts)
+	conns, stats := ExtractOptsStats(b.pkts, opts, new(bytepack.Packer))
 	if len(conns) != 6 {
 		t.Fatalf("extracted %d connections, want 6", len(conns))
 	}
@@ -559,6 +560,39 @@ func TestPayloadsShareBlocks(t *testing.T) {
 			if w := want(c, i); !bytes.Equal(ev.Payload, w) {
 				t.Errorf("%v payload %d = %x, want %x", c.Sender, i, ev.Payload, w)
 			}
+		}
+	}
+}
+
+// TestUsePackerRefillsBlocks checks the packer hand-off: a Demuxer given a
+// Packer copies payloads into that Packer's blocks, so once it is Reset the
+// next capture's payloads land where the last capture's did.
+func TestUsePackerRefillsBlocks(t *testing.T) {
+	b := &builder{}
+	b.handshake(0, 5_000, 1000, 9000, 1460)
+	for i := 0; i < 4; i++ {
+		b.add(Micros(10_000+100*i), senderEP, receiverEP, uint32(1001+100*i), 9001, packet.FlagACK, 65535, 100)
+	}
+	var p bytepack.Packer
+	demux := func() []DataEvent {
+		var c *Connection
+		d := NewDemuxer(DefaultOptions(), func(_ int, got *Connection) { c = got })
+		d.UsePacker(&p)
+		for _, tp := range b.pkts {
+			d.Add(tp)
+		}
+		d.Finish()
+		return c.Data
+	}
+	first := demux()
+	p.Reset()
+	second := demux()
+	if len(first) != 4 || len(second) != 4 {
+		t.Fatalf("data events = %d and %d, want 4", len(first), len(second))
+	}
+	for i := range first {
+		if unsafe.SliceData(first[i].Payload) != unsafe.SliceData(second[i].Payload) {
+			t.Errorf("payload %d of the second capture is not where the first capture's was", i)
 		}
 	}
 }

@@ -32,7 +32,8 @@ func nextAll(r io.Reader) ([]Record, error) {
 
 // checkReadAll holds ReadAll to nextAll on one input: the same records,
 // metadata and bytes, the same partial result and the same error, which
-// is one of the package's sentinels. Appending to any record's Raw must
+// is one of the package's sentinels or wraps the failing readers' errRead
+// (see TestReadAllSources). Appending to any record's Raw must
 // leave every other record's bytes as they were, although they share a
 // block.
 func checkReadAll(tb testing.TB, data []byte) {
@@ -49,7 +50,7 @@ func checkReadAllFrom(tb testing.TB, open func() io.Reader) {
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		tb.Fatalf("ReadAll error %v, Next error %v", err, wantErr)
 	}
-	if err != nil && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadRecord) {
+	if err != nil && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadRecord) && !errors.Is(err, errRead) {
 		tb.Fatalf("untyped reader error: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -190,7 +191,9 @@ var errRead = errors.New("read failed")
 // reads differently from an in-memory reader: an *os.File, whose Stat
 // sizes the buffer; readers with neither Len nor Stat, read through the
 // growth path; and readers that return bytes and then fail with an error
-// other than io.EOF, mid-header, mid-body and between records.
+// other than io.EOF, mid-header, mid-body and between records. A reader's
+// own error must come back wrapped, and must not read as a truncated
+// archive.
 func TestReadAllSources(t *testing.T) {
 	data := bigArchive(t)
 	path := filepath.Join(t.TempDir(), "updates.mrt")
@@ -221,9 +224,12 @@ func TestReadAllSources(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			checkReadAllFrom(t, open)
 			got, err := ReadAll(open())
-			failed := err != nil && strings.Contains(err.Error(), errRead.Error())
+			failed := errors.Is(err, errRead)
 			if failed != strings.HasPrefix(name, "fail") || !failed && err != nil {
 				t.Fatalf("read %d records, err %v", len(got), err)
+			}
+			if errors.Is(err, ErrTruncated) {
+				t.Fatalf("a reader's own error reads as a truncated archive: %v", err)
 			}
 		})
 	}

@@ -156,7 +156,7 @@ func (r *Reader) next(rec *Record) error {
 			if err == io.EOF {
 				return io.EOF
 			}
-			return fmt.Errorf("%w: header: %v", ErrTruncated, err)
+			return readErr("header", err)
 		}
 		sec := int64(binary.BigEndian.Uint32(hdr[0:4]))
 		typ := binary.BigEndian.Uint16(hdr[4:6])
@@ -167,7 +167,7 @@ func (r *Reader) next(rec *Record) error {
 		}
 		body, err := r.read(int(length))
 		if err != nil {
-			return fmt.Errorf("%w: body: %v", ErrTruncated, err)
+			return readErr("body", err)
 		}
 		isET := typ == TypeBGP4MPET
 		if (typ != TypeBGP4MP && !isET) || sub != SubtypeMessage {
@@ -196,6 +196,16 @@ func (r *Reader) next(rec *Record) error {
 		rec.Raw = body[16:]
 		return nil
 	}
+}
+
+// readErr reports a record whose header or body could not be read in
+// full: as ErrTruncated when the input ended inside it, and otherwise as
+// the reader's own error, wrapped so that callers can match it.
+func readErr(part string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: %s: %v", ErrTruncated, part, err)
+	}
+	return fmt.Errorf("mrt: reading record %s: %w", part, err)
 }
 
 // minRead is ReadAll's first buffer size when it does not know the

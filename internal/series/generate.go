@@ -772,7 +772,9 @@ func (c *Catalog) operate() {
 }
 
 // buildFlights groups data packets into flights and records their window
-// context and acknowledgment completion.
+// context and acknowledgment completion. A flight ends where the next
+// packet follows the previous one by more than the gap; the flights are
+// counted first, by that rule, so their slice is allocated once.
 func (c *Catalog) buildFlights() {
 	data := c.conn.Data
 	acks := c.acks
@@ -781,7 +783,13 @@ func (c *Catalog) buildFlights() {
 	}
 	gap := maxMicros(c.rtt()/2, 1_000)
 
-	var flights []Flight
+	n := 1
+	for i := 1; i < len(data); i++ {
+		if data[i].Time-data[i-1].Time > gap {
+			n++
+		}
+	}
+	flights := make([]Flight, 0, n)
 	var cur *Flight
 	var maxEnd, lastAck int64
 	ai := 0

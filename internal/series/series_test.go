@@ -3,7 +3,9 @@ package series
 import (
 	"testing"
 
+	"tdat/internal/flows"
 	"tdat/internal/timerange"
+	"tdat/internal/tracegen"
 	"tdat/internal/traceutil"
 )
 
@@ -424,5 +426,23 @@ func TestRangeStatsEmptySeries(t *testing.T) {
 	cat := gen(t, b)
 	if got := cat.RangeStats(UpstreamLoss); len(got) != 0 {
 		t.Errorf("stats = %+v", got)
+	}
+}
+
+// TestFlightsExactSize checks that buildFlights counts the flights by the
+// rule it groups them by: across the tracegen kinds, Flights is allocated
+// at exactly its length.
+func TestFlightsExactSize(t *testing.T) {
+	for k := tracegen.KindClean; k <= tracegen.KindFanout; k++ {
+		conns := flows.Extract(tracegen.Run(tracegen.Scenario{Kind: k, Seed: 61, Routes: 1_500}).Packets())
+		if len(conns) == 0 {
+			t.Fatalf("%v: no connections", k)
+		}
+		for _, c := range conns {
+			f := Generate(c, Config{}).Flights
+			if len(f) == 0 || cap(f) != len(f) {
+				t.Errorf("%v %v: %d flights in a slice of capacity %d", k, c.Sender, len(f), cap(f))
+			}
+		}
 	}
 }
