@@ -14,6 +14,7 @@ package mct
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -39,7 +40,7 @@ type Config struct {
 	// granularity, while post-transfer updates are sparse).
 	QuietGap Micros
 	// NoveltyWindow is the trailing window over which the novelty rule is
-	// evaluated (default 10 s).
+	// evaluated (default 10 s, which a negative value also selects).
 	NoveltyWindow Micros
 	// MinNovelty is the fraction of a trailing window's announcements that
 	// must be previously unseen prefixes for the transfer to be considered
@@ -51,7 +52,7 @@ func (c Config) withDefaults() Config {
 	if c.QuietGap == 0 {
 		c.QuietGap = 30 * 1_000_000
 	}
-	if c.NoveltyWindow == 0 {
+	if c.NoveltyWindow <= 0 {
 		c.NoveltyWindow = 10 * 1_000_000
 	}
 	if c.MinNovelty == 0 {
@@ -72,31 +73,41 @@ type Result struct {
 }
 
 // keySet is the set of prefix keys FindEnd and FindEndKeys have seen:
-// open addressing with linear probing over a power-of-two table sized once
-// per transfer for every key it could be asked to hold, so it never grows.
-// A bgp.PrefixKey is below 2^38, so slots hold key+1 and zero marks an
-// empty slot. Against a Go map it saves the general-purpose hashing and
-// lets one table be cleared and reused across transfers.
+// open addressing with linear probing over a power-of-two table. Below the
+// size rule (keyScratch.reset) the table is sized once per transfer for
+// every key it could be asked to hold, so it never grows; past it the table
+// holds only the keys the trie bitmap cannot, and grows as they come. A
+// bgp.PrefixKey is below 2^38, so slots hold key+1 and zero marks an empty
+// slot. Against a Go map it saves the general-purpose hashing and lets one
+// table be cleared and reused across transfers.
 type keySet struct {
 	slots []uint64
 	shift uint // 64 - log2(len(slots))
 	n     int  // distinct keys
+	// spare is grow's copy of the table it rehashes, kept so that a warm
+	// set regrows without allocating.
+	spare []uint64
 }
 
-// reset empties s and sizes it to hold up to max keys at a load factor of
-// at most 2/3.
-func (s *keySet) reset(max int) {
-	size, shift := 8, uint(61)
+// slotsFor returns the power-of-two slot count that holds up to max keys at
+// a load factor of at most 2/3.
+func slotsFor(max int) int {
+	size := 8
 	for size < max+max/2 {
-		size, shift = size*2, shift-1
+		size *= 2
 	}
+	return size
+}
+
+// reset empties s and gives it size slots, a power of two.
+func (s *keySet) reset(size int) {
 	if cap(s.slots) >= size {
 		s.slots = s.slots[:size]
 		clear(s.slots)
 	} else {
 		s.slots = make([]uint64, size)
 	}
-	s.shift, s.n = shift, 0
+	s.shift, s.n = uint(64-bits.TrailingZeros(uint(size))), 0
 }
 
 // insert adds key k, reporting whether it was previously unseen.
@@ -116,6 +127,32 @@ func (s *keySet) insert(k uint64) bool {
 		}
 	}
 }
+
+// grow doubles s's table and rehashes its keys into it.
+func (s *keySet) grow() {
+	s.spare = append(s.spare[:0], s.slots...)
+	s.reset(2 * len(s.slots))
+	for _, k := range s.spare {
+		if k != 0 {
+			s.insert(k - 1)
+		}
+	}
+}
+
+const (
+	// trieBits is the largest prefix length the trie bitmap holds.
+	trieBits = 24
+	// trieWords is the bitmap's length in words: one bit for each of the
+	// 2^(trieBits+1)-1 trie positions, and bit 0 unused.
+	trieWords = 1 << (trieBits + 1 - 6)
+)
+
+// trieBitmap has one bit for every IPv4 prefix of length at most trieBits:
+// the prefix of length l whose address is a sits at bit 1<<l | a>>(32-l),
+// its position in a heap-ordered binary trie. Neighbouring prefixes share a
+// word, and the whole trie takes 4 MB, the size of a keySet table of 2^19
+// slots.
+type trieBitmap [trieWords]uint64
 
 // point is one update as the end rule sees it.
 type point struct {
@@ -166,7 +203,11 @@ type KeyUpdate struct {
 // reassembly.Scanner.ScanKeys recovers from a capture without building a
 // bgp.Message. The owner reuses one across transfers: Reset keeps the
 // buffers, and the stream also carries FindEndKeys's scratch, so a warm
-// FindEndKeys over a reused stream allocates nothing.
+// FindEndKeys over a reused stream allocates nothing. The scratch stays as
+// large as the largest streams it has counted. Its seen-set is a table of
+// at most 2 MB below the size rule (keyScratch.reset) and a 4 MB trie
+// bitmap past it, beside a table of the keys the bitmap cannot hold, so a
+// ~950k-prefix full table takes 4 MB, not the 16 MB of one table.
 type KeyStream struct {
 	Keys    []uint64
 	Updates []KeyUpdate
@@ -183,21 +224,48 @@ func (s *KeyStream) Reset() {
 // and the points. It keeps its grown buffers, so a warm call allocates
 // nothing. FindEndKeys keeps it in the KeyStream it reads; FindEnd leases
 // it from keyPool for the call.
+//
+// The seen-set has two representations, chosen once per stream by reset.
+// A stream whose keySet would need fewer slots than the trie bitmap has
+// words counts every key in a table sized for all of them. A larger one, a
+// full table, counts each canonical key of length at most trieBits in the
+// bitmap, and only the rest (longer prefixes, keys with host bits set and
+// length fields past 32) in a table that grows as they come.
 type keyScratch struct {
 	seen   keySet
+	trie   *trieBitmap // allocated by the first stream past the size rule
+	inTrie bool        // the current stream counts in trie
+	marked int         // bits the current stream has set in trie
 	points []point
 }
 
 // reset empties sc for a stream of the given number of announcements and
-// updates.
+// updates, choosing the seen-set's representation from the announcement
+// count.
 func (sc *keyScratch) reset(announced, updates int) {
-	sc.seen.reset(announced)
+	size := slotsFor(announced)
+	sc.inTrie = size >= trieWords
+	if sc.inTrie {
+		sc.seen.reset(slotsFor(0))
+		if sc.trie == nil {
+			sc.trie = new(trieBitmap)
+		} else {
+			clear(sc.trie[:])
+		}
+	} else {
+		sc.seen.reset(size)
+	}
+	sc.marked = 0
 	sc.points = slices.Grow(sc.points[:0], updates)
 }
 
 // add counts the novelty of the next update, at time t with the given
 // announcements: the novelty loop FindEnd and FindEndKeys share.
 func (sc *keyScratch) add(t Micros, keys []uint64) {
+	if sc.inTrie {
+		sc.addTrie(t, keys)
+		return
+	}
 	novel := 0
 	for _, k := range keys {
 		if sc.seen.insert(k) {
@@ -205,6 +273,33 @@ func (sc *keyScratch) add(t Micros, keys []uint64) {
 		}
 	}
 	sc.points = append(sc.points, point{time: t, total: len(keys), novel: novel, cumulen: sc.seen.n})
+}
+
+// addTrie is add for a stream past the size rule.
+func (sc *keyScratch) addTrie(t Micros, keys []uint64) {
+	novel, marked, trie := 0, 0, sc.trie
+	for _, k := range keys {
+		l, a := k>>32, uint32(k)
+		if l > trieBits || a<<l != 0 {
+			if sc.seen.insert(k) {
+				novel++
+				if 3*sc.seen.n > 2*len(sc.seen.slots) {
+					sc.seen.grow()
+				}
+			}
+			continue
+		}
+		i := 1<<l | uint64(a>>(32-l))
+		// i is below 2^(trieBits+1); the mask only lets the compiler drop
+		// the bounds check.
+		w, bit := &trie[i>>6&(trieWords-1)], uint64(1)<<(i&63)
+		if *w&bit == 0 {
+			*w |= bit
+			marked++
+		}
+	}
+	sc.marked += marked
+	sc.points = append(sc.points, point{time: t, total: len(keys), novel: novel + marked, cumulen: sc.seen.n + sc.marked})
 }
 
 var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}

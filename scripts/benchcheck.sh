@@ -29,9 +29,10 @@ raw="$dir/bench.txt"
 # then the zero-copy microbenchmarks, then the MRT archive path (tdat
 # -mrt) and the archive read under it, whose allocs/op ceiling only a
 # one-pass read meets, then the timer knee over a paper-scale curve, whose
-# ns/op ceiling only an O(n) pass meets. -benchtime counts
-# both in iterations-or-seconds; 1s is enough for stable allocs/op, which
-# is what the tight floors gate. The output goes to the file first and is shown
+# ns/op ceiling only an O(n) pass meets, then MCT's novelty count over a
+# cold 900k-prefix table, whose B/op ceiling only the trie bitmap meets.
+# -benchtime counts both in iterations-or-seconds; 1s is enough for stable
+# allocs/op, which is what the tight floors gate. The output goes to the file first and is shown
 # after: piping into tee would hide a failing benchmark behind tee's exit
 # status (POSIX sh has no pipefail).
 status=0
@@ -48,7 +49,9 @@ status=0
 		go test -run '^$' -bench 'BenchmarkReadAll$' \
 			-benchmem -benchtime 1s ./internal/mrt &&
 		go test -run '^$' -bench 'BenchmarkGapKnee$' \
-			-benchmem -benchtime 1s ./internal/knee
+			-benchmem -benchtime 1s ./internal/knee &&
+		go test -run '^$' -bench 'BenchmarkFindEndKeys$' \
+			-benchmem -benchtime 1s ./internal/mct
 } > "$raw" || status=$?
 cat "$raw"
 if [ "$status" != 0 ]; then
