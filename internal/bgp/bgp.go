@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"strings"
 )
 
 // Message type codes (RFC 4271 §4.1).
@@ -285,70 +286,158 @@ func marshalPrefixes(prefixes []Prefix) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// badEntry reports whether the first entry of a non-empty prefix list is
-// invalid: longer than 32 bits, or cut short.
-func badEntry(data []byte) bool {
-	bits := int(data[0])
-	return bits > 32 || len(data) < 1+(bits+7)/8
+// A check is one validation step of the codec.
+type check uint8
+
+// The checks, in the order they run on one message: its header, the body
+// of a type other than UPDATE, and an UPDATE body's fields in wire order
+// (the prefix checks run on the withdrawn routes and again on the NLRI).
+const (
+	passed check = iota
+	shortHeader
+	badMarker
+	badLength
+	lengthMismatch
+	shortOpen
+	shortNotification
+	keepaliveBody
+	unknownType
+	shortUpdate
+	badWithdrawnLength
+	badPrefixLength
+	shortPrefix
+	badAttrsLength
+	shortAttrHeader
+	shortExtAttrHeader
+	shortAttrValue
+	badOriginLength
+	shortSegmentHeader
+	shortSegment
+	badSegmentType
+	badNextHopLength
+	badMEDLength
+	badLocalPrefLength
+	nlriWithoutAttrs
+)
+
+// faultText gives each check's error: the codec sentinel it wraps and the
+// text that follows it, whose verbs print the fault's numbers in order. A
+// check without text fails with the bare sentinel.
+var faultText = [...]struct {
+	sentinel error
+	text     string
+}{
+	shortHeader:        {ErrTruncated, "%d header bytes"},
+	badMarker:          {ErrBadMarker, ""},
+	badLength:          {ErrBadLength, "%d"},
+	lengthMismatch:     {ErrBadLength, "declared %d, have %d"},
+	shortOpen:          {ErrTruncated, "OPEN body %d bytes"},
+	shortNotification:  {ErrTruncated, "notification body"},
+	keepaliveBody:      {ErrBadMessage, "keepalive with body"},
+	unknownType:        {ErrBadType, "%d"},
+	shortUpdate:        {ErrTruncated, "UPDATE body %d bytes"},
+	badWithdrawnLength: {ErrBadLength, "withdrawn length %d"},
+	badPrefixLength:    {ErrBadMessage, "prefix length %d"},
+	shortPrefix:        {ErrTruncated, "prefix bytes"},
+	badAttrsLength:     {ErrBadLength, "attribute length %d"},
+	shortAttrHeader:    {ErrTruncated, "attribute header"},
+	shortExtAttrHeader: {ErrTruncated, "extended attribute header"},
+	shortAttrValue:     {ErrTruncated, "attribute value (%d declared)"},
+	badOriginLength:    {ErrBadLength, "ORIGIN length %d"},
+	shortSegmentHeader: {ErrTruncated, "AS_PATH segment header"},
+	shortSegment:       {ErrTruncated, "AS_PATH segment"},
+	badSegmentType:     {ErrBadMessage, "AS_PATH segment type %d"},
+	badNextHopLength:   {ErrBadLength, "NEXT_HOP length %d"},
+	badMEDLength:       {ErrBadLength, "MED length %d"},
+	badLocalPrefLength: {ErrBadLength, "LOCAL_PREF length %d"},
+	nlriWithoutAttrs:   {ErrBadMessage, "NLRI without path attributes"},
 }
 
-// entryErr is the error for the first entry of a prefix list that
-// badEntry rejected.
-func entryErr(data []byte) error {
-	if bits := data[0]; bits > 32 {
-		return fmt.Errorf("%w: prefix length %d", ErrBadMessage, bits)
+// A fault is what validating a message found: the check that failed, if
+// one did, and the numbers its error reports. The validator returns
+// faults, not errors, so the per-message path passes no interface and
+// formats nothing; each exported function renders the fault once, as it
+// returns, with err.
+type fault struct {
+	check check
+	n, m  int
+}
+
+// err returns f as the codec's error, nil when every check passed.
+func (f fault) err() error {
+	if f.check == passed {
+		return nil
 	}
-	return fmt.Errorf("%w: prefix bytes", ErrTruncated)
+	return f.render()
 }
 
-// countPrefixes validates an NLRI-format prefix list and counts its
-// entries, so that decoders can allocate their output once at exact size —
-// prefix lists dominate table-transfer parsing, and append-growing a slice
-// of 4096-byte messages' worth of prefixes resized several times per
-// message.
-func countPrefixes(data []byte) (int, error) {
-	count := 0
-	for rest := data; len(rest) > 0; count++ {
-		if badEntry(rest) {
-			return 0, entryErr(rest)
+// render is err for a fault that failed; kept apart so that err inlines.
+func (f fault) render() error {
+	t := faultText[f.check]
+	if t.text == "" {
+		return t.sentinel
+	}
+	args := []any{t.sentinel, f.n, f.m}
+	return fmt.Errorf("%w: "+t.text, args[:1+strings.Count(t.text, "%d")]...)
+}
+
+// prefixList validates the NLRI-format prefix list p (withdrawn routes or
+// NLRI) and counts its entries; when emit is set, it appends each entry's
+// PrefixKey to keys in the same pass. On a fault, the keys of the entries
+// before the bad one stay appended, for the caller to drop.
+func prefixList(keys []uint64, p []byte, emit bool) ([]uint64, int, fault) {
+	n := 0
+	for ; len(p) > 0; n++ {
+		bits := uint(p[0])
+		if bits > 32 {
+			return keys, n, fault{check: badPrefixLength, n: int(bits)}
 		}
-		rest = rest[1+(int(rest[0])+7)/8:]
+		size := 1 + (bits+7)/8
+		if uint(len(p)) < size {
+			return keys, n, fault{check: shortPrefix}
+		}
+		if emit {
+			keys = append(keys, prefixKey(p))
+		}
+		p = p[size:]
 	}
-	return count, nil
+	return keys, n, fault{}
 }
 
-// nextPrefix decodes the first entry of a prefix list, which badEntry
-// accepted: its masked address (big-endian), its length, and the rest of
-// the list.
-func nextPrefix(data []byte) (addr uint32, bits int, rest []byte) {
-	bits = int(data[0])
-	nbytes := (bits + 7) / 8
-	if len(data) >= 5 {
-		// Read a whole word: the mask below clears whatever follows the
-		// entry's own address bytes.
-		addr = binary.BigEndian.Uint32(data[1:5])
+// prefixKey returns the PrefixKey of the valid prefix-list entry at the
+// start of p, its address masked to its length. It reads the address as
+// one big-endian word whenever four bytes follow the length byte within
+// p's capacity, which the callers end where the buffer they were passed
+// ends (for ScanStream, the rest of the stream), so only an entry at the
+// very end of that buffer takes the byte loop. The mask clears whatever
+// follows the entry's own address bytes.
+func prefixKey(p []byte) uint64 {
+	bits := uint(p[0])
+	var addr uint32
+	if cap(p) >= 5 {
+		addr = binary.BigEndian.Uint32(p[1:5])
 	} else {
-		// The list's tail: shift the entry's few bytes in one by one.
-		for i, b := range data[1 : 1+nbytes] {
+		for i, b := range p[1 : 1+(bits+7)/8] {
 			addr |= uint32(b) << (24 - 8*i)
 		}
 	}
 	// A shift by 32 yields 0 in Go, so /0 masks everything away.
-	return addr & (^uint32(0) << (32 - bits)), bits, data[1+nbytes:]
+	return uint64(bits)<<32 | uint64(addr&(^uint32(0)<<(32-bits)))
 }
 
 // decodePrefixes decodes a validated prefix list of n entries.
-func decodePrefixes(data []byte, n int) []Prefix {
+func decodePrefixes(p []byte, n int) []Prefix {
 	if n == 0 {
 		return nil
 	}
-	out := make([]Prefix, 0, n)
-	for len(data) > 0 {
-		addr, bits, rest := nextPrefix(data)
+	out := make([]Prefix, n)
+	for i := range out {
+		k := prefixKey(p)
 		var a [4]byte
-		binary.BigEndian.PutUint32(a[:], addr)
-		out = append(out, netip.PrefixFrom(netip.AddrFrom4(a), bits))
-		data = rest
+		binary.BigEndian.PutUint32(a[:], uint32(k))
+		bits := int(k >> 32)
+		out[i] = netip.PrefixFrom(netip.AddrFrom4(a), bits)
+		p = p[1+(bits+7)/8:]
 	}
 	return out
 }
@@ -363,31 +452,15 @@ func PrefixKey(p Prefix) uint64 {
 	return uint64(uint32(p.Bits()))<<32 | uint64(binary.BigEndian.Uint32(a[:]))
 }
 
-// appendPrefixKeys validates an NLRI-format prefix list as countPrefixes
-// does and, in the same pass, appends the PrefixKey of each entry to keys.
-// On error the keys appended before the bad entry stay past the caller's
-// length, and the caller drops them.
-func appendPrefixKeys(keys []uint64, data []byte) ([]uint64, error) {
-	for len(data) > 0 {
-		if badEntry(data) {
-			return keys, entryErr(data)
-		}
-		addr, bits, rest := nextPrefix(data)
-		keys = append(keys, uint64(uint32(bits))<<32|uint64(addr))
-		data = rest
-	}
-	return keys, nil
-}
-
 // PrefixWireLen returns the NLRI encoding size of one prefix.
 func PrefixWireLen(p Prefix) int { return 1 + (p.Bits()+7)/8 }
 
 // Parse decodes one message from data, which must contain exactly one whole
 // message (as produced by SplitStream or read from MRT).
 func Parse(data []byte) (Message, error) {
-	typ, body, err := checkMessage(data)
-	if err != nil {
-		return nil, err
+	typ, body, f := checkMessage(data)
+	if f.check != passed {
+		return nil, f.err()
 	}
 	switch typ {
 	case TypeOpen:
@@ -398,9 +471,9 @@ func Parse(data []byte) (Message, error) {
 			Identifier: netip.AddrFrom4([4]byte(body[5:9])),
 		}, nil
 	case TypeUpdate:
-		u, err := parseUpdate(body)
-		if err != nil {
-			return nil, err
+		u, f := parseUpdate(body)
+		if f.check != passed {
+			return nil, f.err()
 		}
 		return u, nil
 	case TypeNotification:
@@ -410,99 +483,110 @@ func Parse(data []byte) (Message, error) {
 	}
 }
 
-// checkMessage validates one whole message — header, and the body of every
-// type but UPDATE, whose sections checkUpdate walks — and returns its type
-// and body. Parse and ScanMessage both validate through it, so they accept
-// and reject exactly the same bytes with the same errors.
-func checkMessage(data []byte) (typ uint8, body []byte, err error) {
-	if len(data) < HeaderLen {
-		return 0, nil, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(data))
-	}
-	// The marker is 16 bytes of 0xFF: compare it as two words.
-	if binary.LittleEndian.Uint64(data[0:8])&binary.LittleEndian.Uint64(data[8:16]) != ^uint64(0) {
-		return 0, nil, ErrBadMarker
-	}
-	length := int(binary.BigEndian.Uint16(data[16:18]))
+// markerOK reports whether a message's marker is 16 bytes of 0xFF,
+// comparing it as two words.
+func markerOK(msg []byte) bool {
+	return binary.LittleEndian.Uint64(msg[0:8])&binary.LittleEndian.Uint64(msg[8:16]) == ^uint64(0)
+}
+
+// lengthField returns the message length a header declares, which must lie
+// within the protocol's bounds.
+func lengthField(hdr []byte) (int, fault) {
+	length := int(binary.BigEndian.Uint16(hdr[16:18]))
 	if length < HeaderLen || length > MaxMessageLen {
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadLength, length)
+		return 0, fault{check: badLength, n: length}
 	}
-	if length != len(data) {
-		return 0, nil, fmt.Errorf("%w: declared %d, have %d", ErrBadLength, length, len(data))
-	}
-	typ, body = data[18], data[HeaderLen:]
+	return length, fault{}
+}
+
+// checkBody checks the body of a message of type typ, unless it is an
+// UPDATE, whose body checkUpdate validates.
+func checkBody(typ uint8, body []byte) fault {
 	switch typ {
 	case TypeOpen:
 		if len(body) < 10 {
-			return 0, nil, fmt.Errorf("%w: OPEN body %d bytes", ErrTruncated, len(body))
+			return fault{check: shortOpen, n: len(body)}
 		}
 	case TypeUpdate:
 	case TypeNotification:
 		if len(body) < 2 {
-			return 0, nil, fmt.Errorf("%w: notification body", ErrTruncated)
+			return fault{check: shortNotification}
 		}
 	case TypeKeepalive:
 		if len(body) != 0 {
-			return 0, nil, fmt.Errorf("%w: keepalive with body", ErrBadMessage)
+			return fault{check: keepaliveBody}
 		}
 	default:
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadType, typ)
+		return fault{check: unknownType, n: int(typ)}
 	}
-	return typ, body, nil
+	return fault{}
 }
 
-// updateSections is an UPDATE body validated up to its NLRI: its
-// withdrawn-routes prefix list with its entry count, whether it carried
-// path attributes, and the NLRI prefix list, not yet validated.
-type updateSections struct {
-	withdrawn, nlri []byte
-	nWithdrawn      int
-	hasAttrs        bool
+// checkMessage validates one whole message (its header, and the body of
+// every type but UPDATE) and returns its type and its body, capped at the
+// end of data. Parse and ScanMessage start with it; ScanStream, which
+// frames its messages itself, makes the same checks inline.
+func checkMessage(data []byte) (typ uint8, body []byte, f fault) {
+	if len(data) < HeaderLen {
+		return 0, nil, fault{check: shortHeader, n: len(data)}
+	}
+	if !markerOK(data) {
+		return 0, nil, fault{check: badMarker}
+	}
+	length, f := lengthField(data)
+	if f.check == passed && length != len(data) {
+		f = fault{check: lengthMismatch, n: length, m: len(data)}
+	}
+	if f.check != passed {
+		return 0, nil, f
+	}
+	typ, body = data[18], data[HeaderLen:len(data):len(data)]
+	return typ, body, checkBody(typ, body)
 }
 
-// checkUpdate validates an UPDATE body into s, in the order the fields
-// appear, up to the NLRI. The path attributes are decoded into a when it
-// is non-nil and only validated otherwise. The caller then walks the NLRI
-// with countPrefixes's checks, counting it (Parse) or emitting its keys
-// (ScanMessage), and ends with checkNLRI, so the first error is the same
-// whichever path asks.
-func checkUpdate(body []byte, a *PathAttrs, s *updateSections) error {
+// checkUpdate is the UPDATE validator of Parse, ScanMessage and ScanStream.
+// It checks an UPDATE body's fields in the order they appear (withdrawn
+// routes, path attributes, NLRI) and then that announcements carry path
+// attributes, so every caller stops at the same check with the same fault,
+// and it counts the entries of both prefix lists. Parse passes the
+// PathAttrs to decode into and decodes the prefix lists afterwards; the
+// scans pass nil, and the NLRI's PrefixKeys are appended to keys in the
+// pass that validates them. On a fault, keys is returned at its length on
+// entry.
+//
+// body's capacity must end where the buffer the caller was passed ends:
+// prefixKey reads up to there.
+func checkUpdate(body []byte, a *PathAttrs, keys []uint64) (_ []uint64, nWithdrawn, nNLRI int, f fault) {
 	if len(body) < 4 {
-		return fmt.Errorf("%w: UPDATE body %d bytes", ErrTruncated, len(body))
+		return keys, 0, 0, fault{check: shortUpdate, n: len(body)}
 	}
 	wdLen := int(binary.BigEndian.Uint16(body[0:2]))
 	if 2+wdLen+2 > len(body) {
-		return fmt.Errorf("%w: withdrawn length %d", ErrBadLength, wdLen)
+		return keys, 0, 0, fault{check: badWithdrawnLength, n: wdLen}
 	}
-	var err error
-	s.withdrawn = body[2 : 2+wdLen]
-	if s.nWithdrawn, err = countPrefixes(s.withdrawn); err != nil {
-		return err
+	if _, nWithdrawn, f = prefixList(nil, body[2:2+wdLen], false); f.check != passed {
+		return keys, 0, 0, f
 	}
 	rest := body[2+wdLen:]
 	attrLen := int(binary.BigEndian.Uint16(rest[0:2]))
 	if 2+attrLen > len(rest) {
-		return fmt.Errorf("%w: attribute length %d", ErrBadLength, attrLen)
+		return keys, 0, 0, fault{check: badAttrsLength, n: attrLen}
 	}
-	s.hasAttrs = attrLen > 0
-	if s.hasAttrs {
-		if err = parseAttrs(rest[2:2+attrLen], a); err != nil {
-			return err
-		}
+	if f = parseAttrs(rest[2:2+attrLen], a); f.check != passed {
+		return keys, 0, 0, f
 	}
-	s.nlri = rest[2+attrLen:]
-	return nil
+	start := len(keys)
+	keys, nNLRI, f = prefixList(keys, rest[2+attrLen:], a == nil)
+	if f.check == passed && nNLRI > 0 && attrLen == 0 {
+		f = fault{check: nlriWithoutAttrs}
+	}
+	if f.check != passed {
+		return keys[:start], 0, 0, f
+	}
+	return keys, nWithdrawn, nNLRI, f
 }
 
-// checkNLRI is the last check of an UPDATE whose NLRI held n valid
-// entries: announcements need path attributes.
-func (s *updateSections) checkNLRI(n int) error {
-	if n > 0 && !s.hasAttrs {
-		return fmt.Errorf("%w: NLRI without path attributes", ErrBadMessage)
-	}
-	return nil
-}
-
-func parseUpdate(body []byte) (*Update, error) {
+func parseUpdate(body []byte) (*Update, fault) {
 	// Allocate the Update and its PathAttrs as one block: a table transfer
 	// parses millions of updates, the pair always lives and dies together,
 	// and the second heap object was ~20% of the pipeline's allocations.
@@ -510,52 +594,46 @@ func parseUpdate(body []byte) (*Update, error) {
 		u Update
 		a PathAttrs
 	}{}
-	var s updateSections
-	if err := checkUpdate(body, &box.a, &s); err != nil {
-		return nil, err
+	_, nWithdrawn, nNLRI, f := checkUpdate(body, &box.a, nil)
+	if f.check != passed {
+		return nil, f
 	}
-	nNLRI, err := countPrefixes(s.nlri)
-	if err == nil {
-		err = s.checkNLRI(nNLRI)
-	}
-	if err != nil {
-		return nil, err
-	}
+	// The body is valid, so its sections are where its length fields say.
+	wdLen := int(binary.BigEndian.Uint16(body[0:2]))
+	attrLen := int(binary.BigEndian.Uint16(body[2+wdLen:]))
 	u := &box.u
-	u.Withdrawn = decodePrefixes(s.withdrawn, s.nWithdrawn)
-	if s.hasAttrs {
+	u.Withdrawn = decodePrefixes(body[2:2+wdLen], nWithdrawn)
+	if attrLen > 0 {
 		u.Attrs = &box.a
 	}
-	u.NLRI = decodePrefixes(s.nlri, nNLRI)
-	return u, nil
+	u.NLRI = decodePrefixes(body[4+wdLen+attrLen:], nNLRI)
+	return u, fault{}
 }
 
 // parseAttrs validates a path-attribute block, decoding it into a when a is
 // non-nil.
-func parseAttrs(data []byte, a *PathAttrs) error {
+func parseAttrs(data []byte, a *PathAttrs) fault {
 	for len(data) > 0 {
 		if len(data) < 3 {
-			return fmt.Errorf("%w: attribute header", ErrTruncated)
+			return fault{check: shortAttrHeader}
 		}
 		flags, typ := data[0], data[1]
-		var alen, hdr int
+		alen, hdr := int(data[2]), 3
 		if flags&0x10 != 0 { // extended length
 			if len(data) < 4 {
-				return fmt.Errorf("%w: extended attribute header", ErrTruncated)
+				return fault{check: shortExtAttrHeader}
 			}
 			alen, hdr = int(binary.BigEndian.Uint16(data[2:4])), 4
-		} else {
-			alen, hdr = int(data[2]), 3
 		}
 		if len(data) < hdr+alen {
-			return fmt.Errorf("%w: attribute value (%d declared)", ErrTruncated, alen)
+			return fault{check: shortAttrValue, n: alen}
 		}
 		val := data[hdr : hdr+alen]
 		data = data[hdr+alen:]
 		switch typ {
 		case AttrOrigin:
 			if alen != 1 {
-				return fmt.Errorf("%w: ORIGIN length %d", ErrBadLength, alen)
+				return fault{check: badOriginLength, n: alen}
 			}
 			if a != nil {
 				a.Origin = val[0]
@@ -567,14 +645,14 @@ func parseAttrs(data []byte, a *PathAttrs) error {
 			count := 0
 			for v := val; len(v) > 0; {
 				if len(v) < 2 {
-					return fmt.Errorf("%w: AS_PATH segment header", ErrTruncated)
+					return fault{check: shortSegmentHeader}
 				}
 				segType, n := v[0], int(v[1])
 				if len(v) < 2+2*n {
-					return fmt.Errorf("%w: AS_PATH segment", ErrTruncated)
+					return fault{check: shortSegment}
 				}
 				if segType != SegmentSequence && segType != SegmentSet {
-					return fmt.Errorf("%w: AS_PATH segment type %d", ErrBadMessage, segType)
+					return fault{check: badSegmentType, n: int(segType)}
 				}
 				count += n
 				v = v[2+2*n:]
@@ -594,21 +672,21 @@ func parseAttrs(data []byte, a *PathAttrs) error {
 			}
 		case AttrNextHop:
 			if alen != 4 {
-				return fmt.Errorf("%w: NEXT_HOP length %d", ErrBadLength, alen)
+				return fault{check: badNextHopLength, n: alen}
 			}
 			if a != nil {
 				a.NextHop = netip.AddrFrom4([4]byte(val))
 			}
 		case AttrMED:
 			if alen != 4 {
-				return fmt.Errorf("%w: MED length %d", ErrBadLength, alen)
+				return fault{check: badMEDLength, n: alen}
 			}
 			if a != nil {
 				a.MED, a.HasMED = binary.BigEndian.Uint32(val), true
 			}
 		case AttrLocalPref:
 			if alen != 4 {
-				return fmt.Errorf("%w: LOCAL_PREF length %d", ErrBadLength, alen)
+				return fault{check: badLocalPrefLength, n: alen}
 			}
 			if a != nil {
 				a.LocalPref, a.HasLocal = binary.BigEndian.Uint32(val), true
@@ -617,24 +695,21 @@ func parseAttrs(data []byte, a *PathAttrs) error {
 			// Unknown attributes are skipped (optional transitive pass-through).
 		}
 	}
-	return nil
+	return fault{}
 }
 
 // frameLen returns the length of the whole message at the start of data,
 // or 0 when only part of one is there. A length field outside the
-// protocol's bounds is a framing error.
-func frameLen(data []byte) (int, error) {
+// protocol's bounds is a framing fault.
+func frameLen(data []byte) (int, fault) {
 	if len(data) < HeaderLen {
-		return 0, nil
+		return 0, fault{}
 	}
-	length := int(binary.BigEndian.Uint16(data[16:18]))
-	if length < HeaderLen || length > MaxMessageLen {
-		return 0, fmt.Errorf("%w: %d", ErrBadLength, length)
-	}
+	length, f := lengthField(data)
 	if len(data) < length {
-		return 0, nil
+		length = 0
 	}
-	return length, nil
+	return length, f
 }
 
 // SplitStream splits a byte stream into whole BGP messages. It returns the
@@ -647,8 +722,8 @@ func SplitStream(data []byte) (msgs []Message, consumed int, err error) {
 	// trailing message), so the count is never an underestimate.
 	count := 0
 	for off := 0; ; count++ {
-		n, err := frameLen(data[off:])
-		if n == 0 || err != nil {
+		n, _ := frameLen(data[off:])
+		if n == 0 {
 			break
 		}
 		off += n
@@ -657,9 +732,9 @@ func SplitStream(data []byte) (msgs []Message, consumed int, err error) {
 		msgs = make([]Message, 0, count)
 	}
 	for {
-		n, err := frameLen(data[consumed:])
-		if n == 0 || err != nil {
-			return msgs, consumed, err
+		n, f := frameLen(data[consumed:])
+		if n == 0 {
+			return msgs, consumed, f.err()
 		}
 		m, err := Parse(data[consumed : consumed+n])
 		if err != nil {
@@ -678,40 +753,46 @@ func SplitStream(data []byte) (msgs []Message, consumed int, err error) {
 // attributes are validated and skipped. On error keys is returned
 // unchanged: rolled back to its length on entry.
 func ScanMessage(msg []byte, keys []uint64) ([]uint64, error) {
-	typ, body, err := checkMessage(msg)
-	if err != nil || typ != TypeUpdate {
-		return keys, err
+	typ, body, f := checkMessage(msg)
+	if f.check == passed && typ == TypeUpdate {
+		keys, _, _, f = checkUpdate(body, nil, keys)
 	}
-	var s updateSections
-	if err := checkUpdate(body, nil, &s); err != nil {
-		return keys, err
-	}
-	out, err := appendPrefixKeys(keys, s.nlri)
-	if err == nil {
-		err = s.checkNLRI(len(out) - len(keys))
-	}
-	if err != nil {
-		return keys, err
-	}
-	return out, nil
+	return keys, f.err()
 }
 
 // ScanStream is SplitStream for callers that need only the announced
 // prefixes, such as MCT's transfer-end estimate. It frames data the same
-// way and checks every whole message with ScanMessage, so on any input it
-// stops at the same place with the same error and counts the same messages
-// — but it builds no Message. Instead it appends each UPDATE's NLRI to keys
-// and, for each UPDATE that announced any, calls update with the stream
-// offset just past the message and the new length of keys.
+// way and checks every whole message with ScanMessage's rules, so on any
+// input it stops at the same place with the same error and counts the
+// same messages — but it builds no Message. Instead it appends each
+// UPDATE's NLRI to keys and, for each UPDATE that announced any, calls
+// update with the stream offset just past the message and the new length
+// of keys.
 func ScanStream(data []byte, keys []uint64, update func(end, nkeys int)) (_ []uint64, msgs, consumed int, err error) {
+	// Each message is framed and header-checked in place, with checkMessage's
+	// checks in its order; frameLen, markerOK and checkBody are small enough
+	// to be inlined, so checkUpdate is the one call per UPDATE. A body runs
+	// on to the end of data, so only the stream's last prefix takes
+	// prefixKey's byte loop, and data is capped, so none reads past it.
+	data = data[:len(data):len(data)]
 	for {
-		n, err := frameLen(data[consumed:])
-		if n == 0 || err != nil {
-			return keys, msgs, consumed, err
+		n, f := frameLen(data[consumed:])
+		if n == 0 {
+			return keys, msgs, consumed, f.err()
 		}
+		msg := data[consumed:]
+		typ, body := msg[18], msg[HeaderLen:n]
 		before := len(keys)
-		if keys, err = ScanMessage(data[consumed:consumed+n], keys); err != nil {
-			return keys, msgs, consumed, err
+		switch {
+		case !markerOK(msg):
+			f = fault{check: badMarker}
+		case typ != TypeUpdate:
+			f = checkBody(typ, body)
+		default:
+			keys, _, _, f = checkUpdate(body, nil, keys)
+		}
+		if f.check != passed {
+			return keys, msgs, consumed, f.err()
 		}
 		if len(keys) > before {
 			update(consumed+n, len(keys))

@@ -1,9 +1,11 @@
 package bgp
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -528,5 +530,187 @@ func TestScanStreamAllocs(t *testing.T) {
 	scan() // warm the key buffer
 	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
 		t.Errorf("ScanStream allocates %.1f times per stream, want 0", allocs)
+	}
+}
+
+// updateBody assembles an UPDATE body from its withdrawn routes, path
+// attributes and NLRI, with each length field matching its section.
+func updateBody(withdrawn, attrs, nlri []byte) []byte {
+	b := binary.BigEndian.AppendUint16(nil, uint16(len(withdrawn)))
+	b = append(b, withdrawn...)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(attrs)))
+	b = append(b, attrs...)
+	return append(b, nlri...)
+}
+
+// updateFault is an UPDATE body that fails one check, and that check's
+// error.
+type updateFault struct {
+	name     string
+	body     []byte
+	check    check
+	text     string
+	sentinel error
+}
+
+// updateFaultCases has one failing body per UPDATE check, in the order the
+// checks meet the body's fields; the prefix checks fail once in the
+// withdrawn routes and again in the NLRI, and last a bad NLRI entry
+// without path attributes shows the entry checked first.
+func updateFaultCases() []updateFault {
+	attrs := []byte{
+		0x40, AttrOrigin, 1, OriginIGP,
+		0x40, AttrASPath, 4, SegmentSequence, 1, 0x1b, 0x5a,
+		0x40, AttrNextHop, 4, 10, 0, 0, 1,
+	}
+	withAttr := func(attr ...byte) []byte { return updateBody(nil, append(attrs[:4:4], attr...), nil) }
+	return []updateFault{
+		{"UPDATE body", []byte{0, 0, 0}, shortUpdate, "bgp: truncated message: UPDATE body 3 bytes", ErrTruncated},
+		{"withdrawn length", []byte{0, 5, 0, 0}, badWithdrawnLength, "bgp: bad length: withdrawn length 5", ErrBadLength},
+		{"withdrawn prefix length", updateBody([]byte{8, 10, 33, 1, 2, 3, 4, 5}, nil, nil), badPrefixLength, "bgp: malformed message body: prefix length 33", ErrBadMessage},
+		{"withdrawn prefix bytes", updateBody([]byte{8, 10, 24, 10, 0}, nil, nil), shortPrefix, "bgp: truncated message: prefix bytes", ErrTruncated},
+		{"attribute length", []byte{0, 0, 0, 9, 1}, badAttrsLength, "bgp: bad length: attribute length 9", ErrBadLength},
+		{"attribute header", withAttr(0x40, AttrNextHop), shortAttrHeader, "bgp: truncated message: attribute header", ErrTruncated},
+		{"extended attribute header", withAttr(0x50, AttrASPath, 0), shortExtAttrHeader, "bgp: truncated message: extended attribute header", ErrTruncated},
+		{"attribute value", withAttr(0x40, AttrNextHop, 4, 10, 0), shortAttrValue, "bgp: truncated message: attribute value (4 declared)", ErrTruncated},
+		{"ORIGIN length", withAttr(0x40, AttrOrigin, 2, 0, 0), badOriginLength, "bgp: bad length: ORIGIN length 2", ErrBadLength},
+		{"AS_PATH segment header", withAttr(0x40, AttrASPath, 1, SegmentSequence), shortSegmentHeader, "bgp: truncated message: AS_PATH segment header", ErrTruncated},
+		{"AS_PATH segment", withAttr(0x40, AttrASPath, 4, SegmentSequence, 2, 0, 1), shortSegment, "bgp: truncated message: AS_PATH segment", ErrTruncated},
+		{"AS_PATH segment type", withAttr(0x40, AttrASPath, 4, 3, 1, 0, 1), badSegmentType, "bgp: malformed message body: AS_PATH segment type 3", ErrBadMessage},
+		{"NEXT_HOP length", withAttr(0x40, AttrNextHop, 3, 10, 0, 0), badNextHopLength, "bgp: bad length: NEXT_HOP length 3", ErrBadLength},
+		{"MED length", withAttr(0x80, AttrMED, 2, 0, 5), badMEDLength, "bgp: bad length: MED length 2", ErrBadLength},
+		{"LOCAL_PREF length", withAttr(0x40, AttrLocalPref, 1, 100), badLocalPrefLength, "bgp: bad length: LOCAL_PREF length 1", ErrBadLength},
+		{"NLRI prefix length", updateBody(nil, attrs, []byte{8, 10, 40}), badPrefixLength, "bgp: malformed message body: prefix length 40", ErrBadMessage},
+		{"NLRI prefix bytes", updateBody(nil, attrs, []byte{8, 10, 24, 10, 0}), shortPrefix, "bgp: truncated message: prefix bytes", ErrTruncated},
+		{"NLRI without path attributes", updateBody(nil, nil, []byte{8, 10}), nlriWithoutAttrs, "bgp: malformed message body: NLRI without path attributes", ErrBadMessage},
+		{"NLRI prefix bytes without path attributes", updateBody(nil, nil, []byte{8, 10, 24, 10, 0}), shortPrefix, "bgp: truncated message: prefix bytes", ErrTruncated},
+	}
+}
+
+// TestUpdateFaults runs one failing body per UPDATE check through
+// checkUpdate, Parse, ScanMessage and ScanStream, and pins each path's
+// error text and sentinel; ScanStream, after a valid UPDATE, must stop
+// with that UPDATE counted and its keys kept, and nothing of the bad one.
+func TestUpdateFaults(t *testing.T) {
+	lead := goodUpdate(t)
+	leadKeys := []uint64{PrefixKey(mustPrefix("10.0.0.0/8")), PrefixKey(mustPrefix("172.16.0.0/12"))}
+	seen := map[check]bool{}
+	for _, tt := range updateFaultCases() {
+		t.Run(tt.name, func(t *testing.T) {
+			seen[tt.check] = true
+			check := func(path string, err error) {
+				t.Helper()
+				if err == nil || err.Error() != tt.text || !errors.Is(err, tt.sentinel) {
+					t.Errorf("%s: error %v, want %q wrapping %v", path, err, tt.text, tt.sentinel)
+				}
+			}
+			if _, _, _, f := checkUpdate(tt.body, nil, nil); f.check != tt.check {
+				t.Errorf("checkUpdate failed check %d, want %d", f.check, tt.check)
+			}
+			msg := frame(TypeUpdate, tt.body)
+			_, err := Parse(msg)
+			check("Parse", err)
+			keys, err := ScanMessage(msg, []uint64{1})
+			check("ScanMessage", err)
+			if !slices.Equal(keys, []uint64{1}) {
+				t.Errorf("ScanMessage keys %x, want them rolled back to [1]", keys)
+			}
+			var ends []int
+			keys, msgs, consumed, err := ScanStream(append(slices.Clip(lead), msg...), nil, func(end, _ int) { ends = append(ends, end) })
+			check("ScanStream", err)
+			if msgs != 1 || consumed != len(lead) || !slices.Equal(keys, leadKeys) || !slices.Equal(ends, []int{len(lead)}) {
+				t.Errorf("ScanStream: %d messages, %d consumed, keys %x, updates at %v; want 1, %d, %x, [%d]",
+					msgs, consumed, keys, ends, len(lead), leadKeys, len(lead))
+			}
+		})
+	}
+	for c := shortUpdate; c <= nlriWithoutAttrs; c++ {
+		if !seen[c] {
+			t.Errorf("no case fails UPDATE check %d (%v)", c, fault{check: c}.err())
+		}
+	}
+}
+
+// lastEntryUpdate is an UPDATE whose NLRI ends with one prefix of every
+// length 0–32, its host bits set or clear, and the keys it announces.
+type lastEntryUpdate struct {
+	wire []byte
+	keys []uint64
+}
+
+// lastEntryUpdates returns an UPDATE for every length 0–32 of its last
+// NLRI entry, with the entry's host bits set and clear.
+func lastEntryUpdates(tb testing.TB) []lastEntryUpdate {
+	tb.Helper()
+	var out []lastEntryUpdate
+	for bits := 0; bits <= 32; bits++ {
+		for _, host := range []bool{true, false} {
+			last := netip.PrefixFrom(netip.AddrFrom4([4]byte{203, 0xFF, 0xFF, 0xFF}), bits)
+			if !host {
+				last = last.Masked()
+			}
+			first := mustPrefix("192.0.2.0/24")
+			wire, err := (&Update{Attrs: sampleAttrs(), NLRI: []Prefix{first, last}}).Marshal()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out = append(out, lastEntryUpdate{wire, []uint64{PrefixKey(first), PrefixKey(last.Masked())}})
+		}
+	}
+	return out
+}
+
+// bufferEndStreams returns, for each lastEntryUpdate, streams of a valid
+// UPDATE and then it, ending where its last NLRI entry does or followed by
+// 0–18 bytes of a next header, each with cap(data) == len(data), and the
+// keys each stream announces.
+func bufferEndStreams(tb testing.TB) (streams [][]byte, keys [][]uint64) {
+	tb.Helper()
+	lead := goodUpdate(tb)
+	leadKeys := []uint64{PrefixKey(mustPrefix("10.0.0.0/8")), PrefixKey(mustPrefix("172.16.0.0/12"))}
+	for _, u := range lastEntryUpdates(tb) {
+		for tail := 0; tail < HeaderLen; tail++ {
+			data := append(append(slices.Clip(lead), u.wire...), lead[:tail]...)
+			streams = append(streams, slices.Clip(data))
+			keys = append(keys, append(slices.Clip(leadKeys), u.keys...))
+		}
+	}
+	return streams, keys
+}
+
+// TestWordReadsAtBufferEnd holds ScanStream to SplitStream+Parse, and both
+// to the prefixes marshaled, where the last NLRI entry's address word would
+// run past the buffer: the entry ends exactly at len(data) == cap(data), or
+// a partial next header follows it, whose 0xFF marker bytes the mask must
+// clear.
+func TestWordReadsAtBufferEnd(t *testing.T) {
+	streams, keys := bufferEndStreams(t)
+	for i, data := range streams {
+		checkScanEquiv(t, data)
+		got, _, _, err := ScanStream(data, nil, func(int, int) {})
+		if err != nil || !slices.Equal(got, keys[i]) {
+			t.Fatalf("stream %d: keys %x, err %v; want %x", i, got, err, keys[i])
+		}
+	}
+}
+
+// TestScanMessageCappedViews scans UPDATEs packed back to back in one block,
+// each a capped view as mrt.ReadAll returns records: the last NLRI entry of
+// each ends at its view's capacity, with the next message's bytes after it
+// in memory, and must read none of them.
+func TestScanMessageCappedViews(t *testing.T) {
+	ups := lastEntryUpdates(t)
+	var block []byte
+	for _, u := range ups {
+		block = append(block, u.wire...)
+	}
+	off := 0
+	for _, u := range ups {
+		view := block[off : off+len(u.wire) : off+len(u.wire)]
+		off += len(u.wire)
+		checkMessageEquiv(t, view)
+		if keys, err := ScanMessage(view, nil); err != nil || !slices.Equal(keys, u.keys) {
+			t.Fatalf("ScanMessage keys %x, err %v; want %x", keys, err, u.keys)
+		}
 	}
 }

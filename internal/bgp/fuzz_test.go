@@ -147,8 +147,8 @@ func checkMessagesEquiv(tb testing.TB, data []byte) {
 	tb.Helper()
 	checkMessageEquiv(tb, data)
 	for off := 0; ; {
-		n, err := frameLen(data[off:])
-		if n == 0 || err != nil {
+		n, _ := frameLen(data[off:])
+		if n == 0 {
 			return
 		}
 		checkMessageEquiv(tb, data[off:off+n])
@@ -209,9 +209,10 @@ func FuzzParse(f *testing.F) {
 // byte string ScanStream must agree with SplitStream+Parse (see
 // checkScanEquiv), and ScanMessage with Parse on every message it holds
 // (see checkMessagesEquiv). It starts from FuzzParse's seeds, its committed
-// corpus, the BGP streams of the adversarial captures, and a table
-// transfer of full-size UPDATEs. CI runs it for a short smoke window; run
-// locally with
+// corpus, the BGP streams of the adversarial captures, a table transfer of
+// full-size UPDATEs, and TestWordReadsAtBufferEnd's streams, whose last
+// prefix ends at the buffer's end or just before a partial header. CI runs
+// it for a short smoke window; run locally with
 //
 //	go test -run='^$' -fuzz=FuzzScanEquiv -fuzztime=30s ./internal/bgp
 func FuzzScanEquiv(f *testing.F) {
@@ -225,6 +226,10 @@ func FuzzScanEquiv(f *testing.F) {
 		f.Add(stream)
 	}
 	f.Add(tableStream(f))
+	streams, _ := bufferEndStreams(f)
+	for _, stream := range streams {
+		f.Add(stream)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkMessagesEquiv(t, data)
 		checkScanEquiv(t, data)

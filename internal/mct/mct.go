@@ -110,22 +110,26 @@ func (s *keySet) reset(size int) {
 	s.shift, s.n = uint(64-bits.TrailingZeros(uint(size))), 0
 }
 
-// insert adds key k, reporting whether it was previously unseen.
-func (s *keySet) insert(k uint64) bool {
+// insert adds key k and returns 1 if it was previously unseen, 0 if not.
+// Whether a key is new varies from key to key in no pattern a branch
+// predictor learns, so the probe takes no branch on it: one branch stops at
+// the first slot that is empty or holds k, the slot is written either way,
+// and its emptiness is the result. FindEnd, FindEndKeys and grow all insert
+// through it.
+func (s *keySet) insert(k uint64) int {
 	k++
 	mask := len(s.slots) - 1
 	// Fibonacci hashing: the multiply spreads every key bit into the top
 	// bits, which pick the slot.
-	for i := int((k * 0x9E3779B97F4A7C15) >> s.shift); ; i = (i + 1) & mask {
-		switch s.slots[i] {
-		case 0:
-			s.slots[i] = k
-			s.n++
-			return true
-		case k:
-			return false
-		}
+	i := int((k * 0x9E3779B97F4A7C15) >> s.shift)
+	for min(s.slots[i], s.slots[i]^k) != 0 {
+		i = (i + 1) & mask
 	}
+	// A slot holds at most 2^38, so only an empty one wraps to the top bit.
+	novel := int((s.slots[i] - 1) >> 63)
+	s.slots[i] = k
+	s.n += novel
+	return novel
 }
 
 // grow doubles s's table and rehashes its keys into it.
@@ -268,9 +272,7 @@ func (sc *keyScratch) add(t Micros, keys []uint64) {
 	}
 	novel := 0
 	for _, k := range keys {
-		if sc.seen.insert(k) {
-			novel++
-		}
+		novel += sc.seen.insert(k)
 	}
 	sc.points = append(sc.points, point{time: t, total: len(keys), novel: novel, cumulen: sc.seen.n})
 }
@@ -281,22 +283,20 @@ func (sc *keyScratch) addTrie(t Micros, keys []uint64) {
 	for _, k := range keys {
 		l, a := k>>32, uint32(k)
 		if l > trieBits || a<<l != 0 {
-			if sc.seen.insert(k) {
-				novel++
-				if 3*sc.seen.n > 2*len(sc.seen.slots) {
-					sc.seen.grow()
-				}
+			novel += sc.seen.insert(k)
+			if 3*sc.seen.n > 2*len(sc.seen.slots) {
+				sc.seen.grow()
 			}
 			continue
 		}
 		i := 1<<l | uint64(a>>(32-l))
 		// i is below 2^(trieBits+1); the mask only lets the compiler drop
-		// the bounds check.
-		w, bit := &trie[i>>6&(trieWords-1)], uint64(1)<<(i&63)
-		if *w&bit == 0 {
-			*w |= bit
-			marked++
-		}
+		// the bounds check. The bit is set whether or not it was, and its
+		// old value counted, with no branch on it.
+		w := &trie[i>>6&(trieWords-1)]
+		old := *w
+		*w = old | 1<<(i&63)
+		marked += int(^old >> (i & 63) & 1)
 	}
 	sc.marked += marked
 	sc.points = append(sc.points, point{time: t, total: len(keys), novel: novel + marked, cumulen: sc.seen.n + sc.marked})

@@ -30,7 +30,8 @@ raw="$dir/bench.txt"
 # -mrt) and the archive read under it, whose allocs/op ceiling only a
 # one-pass read meets, then the timer knee over a paper-scale curve, whose
 # ns/op ceiling only an O(n) pass meets, then MCT's novelty count over a
-# cold 900k-prefix table, whose B/op ceiling only the trie bitmap meets.
+# cold 900k-prefix table, whose B/op ceiling only the trie bitmap meets,
+# then the BGP scan of a paper-scale table stream, which must not allocate.
 # -benchtime counts both in iterations-or-seconds; 1s is enough for stable
 # allocs/op, which is what the tight floors gate. The output goes to the file first and is shown
 # after: piping into tee would hide a failing benchmark behind tee's exit
@@ -51,7 +52,9 @@ status=0
 		go test -run '^$' -bench 'BenchmarkGapKnee$' \
 			-benchmem -benchtime 1s ./internal/knee &&
 		go test -run '^$' -bench 'BenchmarkFindEndKeys$' \
-			-benchmem -benchtime 1s ./internal/mct
+			-benchmem -benchtime 1s ./internal/mct &&
+		go test -run '^$' -bench 'BenchmarkScanStream$' \
+			-benchmem -benchtime 1s ./internal/bgp
 } > "$raw" || status=$?
 cat "$raw"
 if [ "$status" != 0 ]; then
