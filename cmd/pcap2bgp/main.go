@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/netip"
 	"os"
@@ -32,33 +33,43 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is main with its dependencies injected, so the golden tests drive it
+// in-process with buffers for stdout and stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pcap2bgp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out      = flag.String("o", "", "output MRT file (default: stdout summary only)")
-		verbose  = flag.Bool("v", false, "print per-message details")
-		online   = flag.Bool("online", false, "single-pass streaming mode")
-		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
+		out      = fs.String("o", "", "output MRT file (default: stdout summary only)")
+		verbose  = fs.Bool("v", false, "print per-message details")
+		online   = fs.Bool("online", false, "single-pass streaming mode")
+		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	)
-	flag.Parse()
-	if err := obs.InitLogging(os.Stderr, *logLevel); err != nil {
-		fmt.Fprintf(os.Stderr, "pcap2bgp: %v\n", err)
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: pcap2bgp [flags] trace.pcap")
-		flag.PrintDefaults()
+	if err := obs.InitLogging(stderr, *logLevel); err != nil {
+		fmt.Fprintf(stderr, "pcap2bgp: %v\n", err)
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: pcap2bgp [flags] trace.pcap")
+		fs.PrintDefaults()
 		return 2
 	}
 
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		slog.Error("opening trace", "err", err)
 		return 1
 	}
 	defer f.Close()
+	if *online {
+		return runOnline(f, stdout, *out, *verbose)
+	}
+
 	recs, err := pcapio.ReadAll(f)
 	if err != nil && len(recs) == 0 {
 		slog.Error("reading trace", "err", err)
@@ -66,10 +77,6 @@ func run() int {
 	}
 	if err != nil {
 		slog.Warn("trace truncated (tcpdump drop?)", "records", len(recs), "err", err)
-	}
-
-	if *online {
-		return runOnline(recs, *out, *verbose)
 	}
 
 	conns, skipped := flows.FromPcap(recs)
@@ -91,7 +98,7 @@ func run() int {
 	for ci, c := range conns {
 		res, err := reassembly.Reassemble(c)
 		if err != nil {
-			fmt.Printf("connection %d (%s -> %s): framing error: %v\n", ci, c.Sender, c.Receiver, err)
+			fmt.Fprintf(stdout, "connection %d (%s -> %s): framing error: %v\n", ci, c.Sender, c.Receiver, err)
 			continue
 		}
 		updates, prefixes := 0, 0
@@ -101,7 +108,7 @@ func run() int {
 				prefixes += len(u.NLRI)
 			}
 			if *verbose {
-				fmt.Printf("  %12d %T\n", m.Time, m.Msg)
+				fmt.Fprintf(stdout, "  %12d %T\n", m.Time, m.Msg)
 			}
 			if mw != nil {
 				rec := mrt.Record{
@@ -116,7 +123,7 @@ func run() int {
 				}
 			}
 		}
-		fmt.Printf("connection %d (%s -> %s): %d bytes, %d messages (%d updates, %d prefixes), %d capture holes\n",
+		fmt.Fprintf(stdout, "connection %d (%s -> %s): %d bytes, %d messages (%d updates, %d prefixes), %d capture holes\n",
 			ci, c.Sender, c.Receiver, res.StreamBytes, len(res.Messages), updates, prefixes, len(res.MissingRanges))
 	}
 	if mw != nil {
@@ -134,9 +141,21 @@ type dirKey struct {
 	sport, dport uint16
 }
 
-// runOnline processes the records in one pass with per-direction streaming
-// reassemblers.
-func runOnline(recs []pcapio.Record, out string, verbose bool) int {
+// runOnline reads the capture record by record into one reused record and
+// packet and feeds each direction's streaming reassembler, which copies
+// the bytes it keeps. The output file is created once the first record has
+// been read (or the capture proved empty), so a capture with no readable
+// record leaves none behind.
+func runOnline(r io.Reader, stdout io.Writer, out string, verbose bool) int {
+	pr, err := pcapio.NewReader(r)
+	var rec pcapio.Record
+	if err == nil {
+		err = pr.ReadInto(&rec)
+	}
+	if err != nil && err != io.EOF {
+		slog.Error("reading trace", "err", err)
+		return 1
+	}
 	var mw *mrt.Writer
 	if out != "" {
 		of, err := os.Create(out)
@@ -155,10 +174,10 @@ func runOnline(recs []pcapio.Record, out string, verbose bool) int {
 		dead     bool
 	}
 	streams := map[dirKey]*dirState{}
+	var p packet.Packet
 	skipped := 0
-	for _, rec := range recs {
-		p, err := packet.Decode(rec.Data)
-		if err != nil {
+	for ; err == nil; err = pr.ReadInto(&rec) {
+		if err := packet.DecodeInto(rec.Data, &p); err != nil {
 			skipped++
 			continue
 		}
@@ -177,7 +196,7 @@ func runOnline(recs []pcapio.Record, out string, verbose bool) int {
 					st.prefixes += len(u.NLRI)
 				}
 				if verbose {
-					fmt.Printf("  %12d %s->%s %T\n", m.Time, src, dst, m.Msg)
+					fmt.Fprintf(stdout, "  %12d %s->%s %T\n", m.Time, src, dst, m.Msg)
 				}
 				if mw != nil {
 					_ = mw.Write(mrt.Record{
@@ -190,11 +209,14 @@ func runOnline(recs []pcapio.Record, out string, verbose bool) int {
 		if st.dead {
 			continue
 		}
-		if err := st.stream.Packet(rec.TimeMicros, p); err != nil {
-			fmt.Printf("direction %v:%d -> %v:%d: %v (direction abandoned)\n",
+		if err := st.stream.Packet(rec.TimeMicros, &p); err != nil {
+			fmt.Fprintf(stdout, "direction %v:%d -> %v:%d: %v (direction abandoned)\n",
 				p.IP.Src, p.TCP.SrcPort, p.IP.Dst, p.TCP.DstPort, err)
 			st.dead = true
 		}
+	}
+	if err != io.EOF {
+		slog.Warn("trace truncated (tcpdump drop?)", "records", pr.RecordsRead(), "err", err)
 	}
 	if skipped > 0 {
 		slog.Warn("undecodable packets skipped", "count", skipped)
@@ -226,11 +248,11 @@ func runOnline(recs []pcapio.Record, out string, verbose bool) int {
 		}
 		src := netip.AddrFrom4(k.src)
 		dst := netip.AddrFrom4(k.dst)
-		fmt.Printf("%v:%d -> %v:%d: %d messages (%d updates, %d prefixes)\n",
+		fmt.Fprintf(stdout, "%v:%d -> %v:%d: %d messages (%d updates, %d prefixes)\n",
 			src, k.sport, dst, k.dport, st.messages, st.updates, st.prefixes)
 		total += st.messages
 	}
-	fmt.Printf("online mode: %d messages total\n", total)
+	fmt.Fprintf(stdout, "online mode: %d messages total\n", total)
 	if mw != nil {
 		if err := mw.Flush(); err != nil {
 			slog.Error("writing MRT", "err", err)

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 
@@ -20,21 +21,27 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
-	flag.Parse()
-	if err := obs.InitLogging(os.Stderr, *logLevel); err != nil {
-		fmt.Fprintf(os.Stderr, "tcpprof: %v\n", err)
+// run is main with its dependencies injected, so the golden tests drive it
+// in-process with buffers for stdout and stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcpprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tcpprof [flags] trace.pcap")
+	if err := obs.InitLogging(stderr, *logLevel); err != nil {
+		fmt.Fprintf(stderr, "tcpprof: %v\n", err)
 		return 2
 	}
-	f, err := os.Open(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: tcpprof [flags] trace.pcap")
+		return 2
+	}
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		slog.Error("opening trace", "err", err)
 		return 1
@@ -45,20 +52,23 @@ func run() int {
 		slog.Error("reading trace", "err", err)
 		return 1
 	}
+	if err != nil {
+		slog.Warn("trace truncated (tcpdump drop?)", "records", len(recs), "err", err)
+	}
 	conns, skipped := flows.FromPcap(recs)
-	fmt.Printf("%d records (%d undecodable), %d connections\n\n", len(recs), skipped, len(conns))
+	fmt.Fprintf(stdout, "%d records (%d undecodable), %d connections\n\n", len(recs), skipped, len(conns))
 	for i, c := range conns {
 		p := c.Profile
-		fmt.Printf("conn %d: %s -> %s\n", i, c.Sender, c.Receiver)
-		fmt.Printf("  span: %.3fs - %.3fs (%.3fs)\n",
+		fmt.Fprintf(stdout, "conn %d: %s -> %s\n", i, c.Sender, c.Receiver)
+		fmt.Fprintf(stdout, "  span: %.3fs - %.3fs (%.3fs)\n",
 			float64(p.Start)/1e6, float64(p.End)/1e6, float64(p.End-p.Start)/1e6)
-		fmt.Printf("  rtt: %.2fms  mss: %d  max adv window: %d  initiator=sender: %v\n",
+		fmt.Fprintf(stdout, "  rtt: %.2fms  mss: %d  max adv window: %d  initiator=sender: %v\n",
 			float64(p.RTT)/1e3, p.MSS, p.MaxAdvWindow, p.InitiatorIsSender)
-		fmt.Printf("  data: %d bytes in %d packets; acks: %d\n",
+		fmt.Fprintf(stdout, "  data: %d bytes in %d packets; acks: %d\n",
 			p.TotalDataBytes, p.TotalDataPackets, len(c.Acks))
-		fmt.Printf("  retransmissions: %d  out-of-sequence: %d  reordered: %d\n",
+		fmt.Fprintf(stdout, "  retransmissions: %d  out-of-sequence: %d  reordered: %d\n",
 			p.RetransmitCount, p.GapFillCount, p.ReorderCount)
-		fmt.Printf("  loss recovery: upstream %.3fs in %d ranges, downstream %.3fs in %d ranges\n\n",
+		fmt.Fprintf(stdout, "  loss recovery: upstream %.3fs in %d ranges, downstream %.3fs in %d ranges\n\n",
 			float64(c.UpstreamLoss.Size())/1e6, c.UpstreamLoss.Len(),
 			float64(c.DownstreamLoss.Size())/1e6, c.DownstreamLoss.Len())
 	}

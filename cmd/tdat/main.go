@@ -117,9 +117,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MajorThreshold:     *threshold,
 		Workers:            *workers,
 		Strict:             *strict,
-		MaxConnections:     *maxConns,
 		MaxReassemblyBytes: *maxReasm,
 	}
+	cfg.Flows.MaxTracked = *maxConns
 	cfg.Series.DisableShift = *noShift
 	switch *sniffer {
 	case "receiver":

@@ -278,8 +278,9 @@ func corpusStreams(tb testing.TB) [][]byte {
 		}
 		recs, _ := pcapio.ReadAll(bytes.NewReader(data)) // damaged files still yield their leading records
 		var stream []byte
+		var p packet.Packet
 		for _, r := range recs {
-			if p, err := packet.Decode(r.Data); err == nil && p.TCP.SrcPort == 179 {
+			if err := packet.DecodeInto(r.Data, &p); err == nil && p.TCP.SrcPort == 179 {
 				stream = append(stream, p.Payload...)
 			}
 		}

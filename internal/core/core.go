@@ -52,11 +52,6 @@ type Config struct {
 	// Report.Degradation. Enforced by the pcap entry points (AnalyzePcap,
 	// AnalyzePcapWith); AnalyzePackets ignores it.
 	Strict bool
-	// MaxConnections caps simultaneously tracked (un-emitted) connections
-	// in the demuxer; when full, the oldest open connection is
-	// force-completed (see flows.Options.MaxTracked). 0 means unlimited —
-	// the default, which keeps clean-trace output byte-identical.
-	MaxConnections int
 	// MaxReassemblyBytes caps the per-connection reassembled stream
 	// materialized for transfer-end estimation, so a corrupt-sequence
 	// capture cannot demand gigabytes. 0 means unlimited.
@@ -100,9 +95,6 @@ type Analyzer struct {
 func New(cfg Config) *Analyzer {
 	cfg.Flows.Obs = cfg.Obs
 	cfg.Series.Obs = cfg.Obs
-	if cfg.MaxConnections > 0 {
-		cfg.Flows.MaxTracked = cfg.MaxConnections
-	}
 	a := &Analyzer{cfg: cfg}
 	a.scanners = make(chan *reassembly.Scanner, a.workers())
 	a.packers = make(chan *bytepack.Packer, 1)
@@ -372,7 +364,7 @@ func (a *Analyzer) packer() *bytepack.Packer {
 // next capture, and gives it back to the Analyzer, or drops it when the
 // Analyzer already keeps one. Every analysis of the capture must have
 // returned, and with it cleared its connection's payload views (see
-// guard.analyze): the next capture overwrites the blocks.
+// pool.guarded): the next capture overwrites the blocks.
 func (a *Analyzer) releasePacker(p *bytepack.Packer) {
 	p.Reset()
 	select {

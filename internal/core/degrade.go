@@ -60,7 +60,8 @@ type Degradation struct {
 	// re-sorts, but inter-arrival artifacts may remain.
 	TimestampRegressions int64
 	// EvictedConnections counts connections force-completed by the
-	// Config.MaxConnections cap before their traffic ended.
+	// demuxer's connection cap (flows.Options.MaxTracked) before their
+	// traffic ended.
 	EvictedConnections int
 	// ResumedConnections counts connections whose later packets arrived
 	// after an eviction and were analyzed as a separate partial connection.

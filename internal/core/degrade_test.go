@@ -194,9 +194,9 @@ func TestPreAnchorRetransmissionAnalyzed(t *testing.T) {
 	}
 }
 
-// TestConnectionCapDegrades checks the MaxConnections cap: a flood of
-// distinct tuples stays bounded, evictions are counted, and strict mode
-// refuses the concession.
+// TestConnectionCapDegrades checks the demuxer's connection cap
+// (Config.Flows.MaxTracked): a flood of distinct tuples stays bounded, the
+// evictions are counted, and every evicted connection is still analyzed.
 func TestConnectionCapDegrades(t *testing.T) {
 	b := traceutil.New()
 	// 8 concurrent connections on distinct ports, none of which ever
@@ -206,7 +206,8 @@ func TestConnectionCapDegrades(t *testing.T) {
 		b.Add(Micros(i)*1_000, ep, traceutil.ReceiverEP, 0, 0, packet.FlagSYN, 65535, 0)
 		b.Add(Micros(i)*1_000+500, ep, traceutil.ReceiverEP, 1, 1, packet.FlagACK, 65535, 100)
 	}
-	cfg := Config{Workers: 1, MaxConnections: 3}
+	cfg := Config{Workers: 1}
+	cfg.Flows.MaxTracked = 3
 	rep := New(cfg).AnalyzePackets(b.Pkts)
 	if rep.Degradation.EvictedConnections == 0 {
 		t.Fatal("no evictions under a cap smaller than the live connection count")

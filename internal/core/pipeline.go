@@ -13,10 +13,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -75,96 +77,216 @@ func MapOrdered[T, R any](workers int, in []T, fn func(T) R) []R {
 	return out
 }
 
-// guard wraps per-connection analysis so one connection's panic becomes an
-// AnalysisFailure on the report (and a metrics counter tick) instead of a
-// crashed run. Failures collect under a mutex and are sorted by connection
-// tuple, so reports stay deterministic at any worker count.
-type guard struct {
-	a        *Analyzer
+// pool analyzes the connections of one capture as the demuxer emits them,
+// on worker goroutines or inline, and collects their reports by creation
+// index. A connection whose analysis panics becomes an AnalysisFailure on
+// the report (and a metrics counter tick) instead of a crashed run.
+type pool struct {
+	a       *Analyzer
+	analyze func(*flows.Connection) *TransferReport
+	// jobs queues emitted connections for the workers; nil analyzes each
+	// one inline, inside the demuxer's emit. emit starts a worker with each
+	// of the first nw connections it queues, so a capture of one
+	// connection starts one.
+	jobs    chan connJob
+	nw      int
+	started int
+	wg      sync.WaitGroup
+
 	mu       sync.Mutex
+	results  []*TransferReport // indexed by demuxer creation index
 	failures []AnalysisFailure
+
+	// metrics (nil handles when Config.Obs is nil)
+	analyzedC *obs.Counter
+	depthG    *obs.Gauge
+	inFlightG *obs.Gauge
+	queueWait *obs.Histogram
 }
 
-// analyze runs fn(c), recovering a panic into a recorded failure (the
-// returned report is then nil and merge skips the connection). Once fn
-// returns or panics, it clears c's payload views: they point into the
-// capture's packer, whose blocks the Analyzer's next capture refills.
-func (g *guard) analyze(fn func(*flows.Connection) *TransferReport, c *flows.Connection) (tr *TransferReport) {
+// connJob is one emitted connection waiting for a worker.
+type connJob struct {
+	idx  int
+	conn *flows.Connection
+	enq  time.Time
+}
+
+// emit is the demuxer's callback: it queues c for a worker, or analyzes
+// it at once when the pool has none.
+func (p *pool) emit(idx int, c *flows.Connection) {
+	if p.jobs == nil {
+		p.run(idx, c)
+		return
+	}
+	if p.started < p.nw {
+		p.started++
+		p.wg.Add(1)
+		go p.work()
+	}
+	j := connJob{idx: idx, conn: c}
+	if p.a.cfg.Obs != nil {
+		p.depthG.Add(1)
+		j.enq = obs.Now()
+	}
+	p.jobs <- j
+}
+
+// work is one worker: it analyzes queued connections until the queue is
+// closed.
+func (p *pool) work() {
+	defer p.wg.Done()
+	for j := range p.jobs {
+		if p.a.cfg.Obs != nil {
+			p.depthG.Add(-1)
+			p.queueWait.Observe(obs.Since(j.enq).Microseconds())
+		}
+		p.run(j.idx, j.conn)
+	}
+}
+
+// run analyzes one connection and files its report under its creation
+// index.
+func (p *pool) run(idx int, c *flows.Connection) {
+	o := p.a.cfg.Obs
+	if o != nil {
+		p.inFlightG.Add(1)
+		o.Progress.ConnStart()
+	}
+	tr := p.guarded(c)
+	if o != nil {
+		p.inFlightG.Add(-1)
+		o.Progress.ConnDone()
+		p.analyzedC.Inc()
+	}
+	p.mu.Lock()
+	if idx >= len(p.results) {
+		p.results = append(p.results, make([]*TransferReport, idx+1-len(p.results))...)
+	}
+	p.results[idx] = tr
+	p.mu.Unlock()
+}
+
+// guarded runs analyze(c), recovering a panic into a recorded failure (the
+// returned report is then nil and merge skips the connection). Once
+// analyze returns or panics, it clears c's payload views: they point into
+// the capture's packer, whose blocks the Analyzer's next capture refills.
+func (p *pool) guarded(c *flows.Connection) (tr *TransferReport) {
 	defer func() {
 		for i := range c.Data {
 			c.Data[i].Payload = nil
 		}
 		if r := recover(); r != nil {
-			if o := g.a.cfg.Obs; o != nil {
+			if o := p.a.cfg.Obs; o != nil {
 				o.Reg.Counter("tdat_analysis_panics_total").Inc()
 			}
-			g.mu.Lock()
-			g.failures = append(g.failures, AnalysisFailure{Conn: connLabel(c), Panic: fmt.Sprint(r)})
-			g.mu.Unlock()
+			p.mu.Lock()
+			p.failures = append(p.failures, AnalysisFailure{Conn: connLabel(c), Panic: fmt.Sprint(r)})
+			p.mu.Unlock()
 			tr = nil
 		}
 	}()
-	return fn(c)
+	return p.analyze(c)
 }
 
-// merge appends the surviving reports to rep in slice order — the
-// demuxer's creation index on both entry points — then sorts and attaches
-// the collected failures.
-func (g *guard) merge(rep *Report, results []*TransferReport) {
-	sp := g.a.span(obs.StageMerge)
-	for _, t := range results {
+// merge appends the surviving reports to rep in creation order, then sorts
+// the failures by connection tuple and attaches them, so reports stay
+// deterministic at any worker count.
+func (p *pool) merge(rep *Report) {
+	sp := p.a.span(obs.StageMerge)
+	for _, t := range p.results {
 		if t != nil {
 			rep.Transfers = append(rep.Transfers, t)
 			rep.Degradation.addTransfer(t)
 		}
 	}
 	sp.End()
-	sort.Slice(g.failures, func(i, j int) bool {
-		if g.failures[i].Conn != g.failures[j].Conn {
-			return g.failures[i].Conn < g.failures[j].Conn
+	sort.Slice(p.failures, func(i, j int) bool {
+		if p.failures[i].Conn != p.failures[j].Conn {
+			return p.failures[i].Conn < p.failures[j].Conn
 		}
-		return g.failures[i].Panic < g.failures[j].Panic
+		return p.failures[i].Panic < p.failures[j].Panic
 	})
-	rep.Failures = g.failures
+	rep.Failures = p.failures
 }
 
-// AnalyzePackets analyzes pre-decoded packets, fanning connections out to
-// the configured worker pool and merging reports in extraction order.
-// A connection whose analysis panics is dropped into Report.Failures.
-// Payloads are copied into blocks the Analyzer reuses for its next
-// capture, so the report carries no payload bytes.
+// AnalyzePackets analyzes pre-decoded packets through the same demux, worker
+// pool and ordered merge as AnalyzePcapWith. The packets are demuxed in time
+// order — a time-disordered slice is sorted (stably) first — so connection
+// grouping follows capture time, and pkts itself is left as it is.
+// Config.Strict is not enforced here. A connection whose analysis panics is
+// dropped into Report.Failures. Payloads are copied into blocks the
+// Analyzer reuses for its next capture, so the report carries no payload
+// bytes.
 func (a *Analyzer) AnalyzePackets(pkts []flows.TimedPacket) *Report {
-	o := a.cfg.Obs
-	pack := a.packer()
-	conns, ds := flows.ExtractOptsStats(pkts, a.cfg.Flows, pack)
-	if o != nil {
-		o.Reg.Gauge("tdat_pool_workers").Set(int64(a.workers()))
+	if !slices.IsSortedFunc(pkts, byTime) {
+		pkts = slices.Clone(pkts)
+		slices.SortStableFunc(pkts, byTime)
 	}
-	g := &guard{a: a}
-	results := MapOrdered(a.workers(), conns, func(c *flows.Connection) *TransferReport {
-		if o != nil {
-			o.Progress.ConnStart()
+	rep, _ := a.dispatch(a.AnalyzeConnection, func(d *flows.Demuxer) error {
+		for _, tp := range pkts {
+			d.Add(tp)
 		}
-		tr := g.analyze(a.AnalyzeConnection, c)
-		if o != nil {
-			o.Progress.ConnDone()
-			o.Reg.Counter("tdat_conns_analyzed_total").Inc()
-		}
-		return tr
+		return nil
 	})
-	a.releasePacker(pack)
-	rep := &Report{}
-	rep.Degradation.fromDemux(ds)
-	g.merge(rep, results)
-	if o != nil {
+	if o := a.cfg.Obs; o != nil {
 		rep.Degradation.observe(o.Reg)
 	}
 	return rep
 }
 
+// byTime orders packets by capture time.
+func byTime(a, b flows.TimedPacket) int { return cmp.Compare(a.Time, b.Time) }
+
 // span opens an unlabeled span (whole-run stages like merge).
 func (a *Analyzer) span(stage obs.Stage) obs.Span {
 	return a.cfg.Obs.StartSpan(stage, "")
+}
+
+// dispatch is the body of both capture-level entries. feed routes the
+// capture's packets into the demuxer in capture order; each connection the
+// demuxer completes is handed to analyze on the worker pool — early, while
+// feed is still running, when a fresh SYN reuses its 4-tuple, the rest at
+// the end — and the reports merge in connection creation order. The
+// demuxer copies payloads into the Analyzer's packer, which is reset for
+// the next capture once the pool has drained. A feed error is returned
+// then, in place of the report.
+func (a *Analyzer) dispatch(analyze func(*flows.Connection) *TransferReport, feed func(*flows.Demuxer) error) (*Report, error) {
+	o := a.cfg.Obs
+	nw := a.workers()
+	p := &pool{a: a, analyze: analyze, nw: nw}
+	if o != nil {
+		p.analyzedC = o.Reg.Counter("tdat_conns_analyzed_total")
+		p.depthG = o.Reg.Gauge("tdat_pool_queue_depth")
+		p.inFlightG = o.Reg.Gauge("tdat_conns_in_flight")
+		p.queueWait = o.Reg.Histogram("tdat_pool_queue_wait_micros", obs.DurationBuckets)
+		o.Reg.Gauge("tdat_pool_workers").Set(int64(nw))
+	}
+	// With observability on, even a 1-worker run routes through the pool so
+	// demux timing isn't polluted by inline analysis of early-emitted
+	// connections (reports are merged by creation index either way, so
+	// output is identical).
+	if nw > 1 || o != nil {
+		// A small buffer decouples demux from the pool so the queue-depth
+		// gauge reflects genuine backlog rather than channel handoff.
+		p.jobs = make(chan connJob, 2*nw)
+	}
+	d := flows.NewDemuxer(a.cfg.Flows, p.emit)
+	pack := a.packer()
+	d.UsePacker(pack)
+	err := feed(d)
+	d.Finish()
+	if p.jobs != nil {
+		close(p.jobs)
+		p.wg.Wait()
+	}
+	a.releasePacker(pack)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{}
+	rep.Degradation.fromDemux(d.Stats())
+	p.merge(rep)
+	return rep, nil
 }
 
 // AnalyzePcapWith streams a pcap capture through the full pipeline,
@@ -201,153 +323,67 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 	}
 
 	o := a.cfg.Obs
-	nw := a.workers()
-	var (
-		recordsC  *obs.Counter
-		skippedC  *obs.Counter
-		analyzedC *obs.Counter
-		depthG    *obs.Gauge
-		inFlightG *obs.Gauge
-		queueWait *obs.Histogram
-	)
+	var recordsC, skippedC *obs.Counter
 	if o != nil {
 		recordsC = o.Reg.Counter("tdat_records_read_total")
 		skippedC = o.Reg.Counter("tdat_packets_skipped_total")
-		analyzedC = o.Reg.Counter("tdat_conns_analyzed_total")
-		depthG = o.Reg.Gauge("tdat_pool_queue_depth")
-		inFlightG = o.Reg.Gauge("tdat_conns_in_flight")
-		queueWait = o.Reg.Histogram("tdat_pool_queue_wait_micros", obs.DurationBuckets)
-		o.Reg.Gauge("tdat_pool_workers").Set(int64(nw))
 	}
-
-	g := &guard{a: a}
-	var (
-		mu      sync.Mutex
-		results []*TransferReport // indexed by demuxer creation index
-	)
-	analyzeOne := func(idx int, c *flows.Connection) {
-		if o != nil {
-			inFlightG.Add(1)
-			o.Progress.ConnStart()
-		}
-		rep := g.analyze(analyze, c)
-		if o != nil {
-			inFlightG.Add(-1)
-			o.Progress.ConnDone()
-			analyzedC.Inc()
-		}
-		mu.Lock()
-		if idx >= len(results) {
-			results = append(results, make([]*TransferReport, idx+1-len(results))...)
-		}
-		results[idx] = rep
-		mu.Unlock()
-	}
-
-	type connJob struct {
-		idx  int
-		conn *flows.Connection
-		enq  time.Time
-	}
-	var (
-		jobs chan connJob
-		wg   sync.WaitGroup
-	)
-	// With observability on, even a 1-worker run routes through the pool so
-	// demux timing isn't polluted by inline analysis of early-emitted
-	// connections (reports are merged by creation index either way, so
-	// output is identical).
-	parallel := nw > 1 || o != nil
-	if parallel {
-		// A small buffer decouples demux from the pool so the queue-depth
-		// gauge reflects genuine backlog rather than channel handoff.
-		jobs = make(chan connJob, 2*nw)
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					if o != nil {
-						depthG.Add(-1)
-						queueWait.Observe(obs.Since(j.enq).Microseconds())
-					}
-					analyzeOne(j.idx, j.conn)
-				}
-			}()
-		}
-	}
-	d := flows.NewDemuxer(a.cfg.Flows, func(idx int, c *flows.Connection) {
-		if !parallel {
-			analyzeOne(idx, c)
-			return
-		}
-		j := connJob{idx: idx, conn: c}
-		if o != nil {
-			depthG.Add(1)
-			j.enq = obs.Now()
-		}
-		jobs <- j
-	})
-	pack := a.packer()
-	d.UsePacker(pack)
-
-	// Zero-copy ingest: one reused record buffer (pcapio.ReadInto) and one
-	// reused packet struct (packet.DecodeInto). The demuxer copies what it
-	// keeps into per-connection columnar storage and the packer's blocks
-	// before Add returns, so nothing downstream aliases either buffer.
-	// With observability on, three clock reads per record split the time
-	// between the decode and demux stages.
-	var pkt packet.Packet
+	var readErr error
 	records, skipped := 0, 0
-	readErr := pr.EachInto(func(rec pcapio.Record) error {
-		records++
-		var t0, t1 time.Time
-		if o != nil {
-			recordsC.Inc()
-			o.Progress.AddRecords(1)
-			o.Progress.SetBytesRead(pr.BytesRead())
-			t0 = obs.Now()
-		}
-		err := packet.DecodeInto(rec.Data, &pkt)
-		if o != nil {
-			t1 = obs.Now()
-			o.StageObserve(obs.StageDecode, t1.Sub(t0).Microseconds())
-		}
-		if err != nil {
-			if a.cfg.Strict {
-				return fmt.Errorf("%w: record %d undecodable: %v", ErrStrict, records-1, err)
+	rep, err := a.dispatch(analyze, func(d *flows.Demuxer) error {
+		// Zero-copy ingest: one reused record buffer (pcapio.ReadInto) and
+		// one reused packet struct (packet.DecodeInto). The demuxer copies
+		// what it keeps into per-connection columnar storage and the
+		// packer's blocks before Add returns, so nothing downstream aliases
+		// either buffer. With observability on, three clock reads per
+		// record split the time between the decode and demux stages.
+		var pkt packet.Packet
+		readErr = pr.EachInto(func(rec pcapio.Record) error {
+			records++
+			var t0, t1 time.Time
+			if o != nil {
+				recordsC.Inc()
+				o.Progress.AddRecords(1)
+				o.Progress.SetBytesRead(pr.BytesRead())
+				t0 = obs.Now()
 			}
-			skipped++
-			skippedC.Inc()
+			err := packet.DecodeInto(rec.Data, &pkt)
+			if o != nil {
+				t1 = obs.Now()
+				o.StageObserve(obs.StageDecode, t1.Sub(t0).Microseconds())
+			}
+			if err != nil {
+				if a.cfg.Strict {
+					return fmt.Errorf("%w: record %d undecodable: %v", ErrStrict, records-1, err)
+				}
+				skipped++
+				skippedC.Inc()
+				return nil
+			}
+			d.Add(flows.TimedPacket{Time: rec.TimeMicros, Pkt: &pkt})
+			if o != nil {
+				o.StageObserve(obs.StageDemux, obs.Since(t1).Microseconds())
+			}
 			return nil
-		}
-		d.Add(flows.TimedPacket{Time: rec.TimeMicros, Pkt: &pkt})
-		if o != nil {
-			o.StageObserve(obs.StageDemux, obs.Since(t1).Microseconds())
+		})
+		switch {
+		case readErr == nil:
+			return nil
+		case a.cfg.Strict && errors.Is(readErr, ErrStrict):
+			return readErr
+		case a.cfg.Strict:
+			return fmt.Errorf("%w: %v", ErrStrict, readErr)
+		case records == 0:
+			return fmt.Errorf("core: reading pcap: %w", readErr)
 		}
 		return nil
 	})
-	d.Finish()
-	if parallel {
-		close(jobs)
-		wg.Wait()
-	}
-	a.releasePacker(pack)
-	if readErr != nil {
-		if a.cfg.Strict {
-			if errors.Is(readErr, ErrStrict) {
-				return nil, readErr
-			}
-			return nil, fmt.Errorf("%w: %v", ErrStrict, readErr)
-		}
-		if records == 0 {
-			return nil, fmt.Errorf("core: reading pcap: %w", readErr)
-		}
+	if err != nil {
+		return nil, err
 	}
 
-	rep := &Report{SkippedPackets: skipped}
+	rep.SkippedPackets = skipped
 	rep.Degradation.UndecodableRecords = skipped
-	rep.Degradation.fromDemux(d.Stats())
 	if readErr != nil {
 		// Lenient path with a readable prefix: the file damage is a
 		// degradation event, located exactly when the pcap layer can.
@@ -358,7 +394,6 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 		}
 		rep.Degradation.RecordErrors = append(rep.Degradation.RecordErrors, issue)
 	}
-	g.merge(rep, results)
 	if a.cfg.Strict {
 		if err := rep.Degradation.strictErr(); err != nil {
 			return nil, err

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"tdat/internal/flows"
 	"tdat/internal/obs"
+	"tdat/internal/packet"
 	"tdat/internal/pcapio"
 	"tdat/internal/tracegen"
 )
@@ -436,5 +438,53 @@ func TestEarlyEmitSharedBlocksByteIdentical(t *testing.T) {
 		} else if !bytes.Equal(out, baseline) {
 			t.Errorf("workers=%d: report differs from workers=1 baseline", w)
 		}
+	}
+}
+
+// TestAnalyzePacketsSortsByTime checks that AnalyzePackets groups packets
+// in time order, not slice order: a reset-split capture whose second
+// session comes first in the slice gets the report of the sorted slice,
+// with no timestamp regression, and the slice is left as it was. The same
+// packets streamed in slice order through AnalyzePcap, which does not
+// sort, count regressions, so the input is disordered where it matters.
+func TestAnalyzePacketsSortsByTime(t *testing.T) {
+	sorted := tracegen.RunWithReset(tracegen.Scenario{
+		Kind: tracegen.KindPaced, Seed: 70, Routes: 2_000,
+		PacingTimer: 200_000, PacingBudget: 24,
+	}, 700_000).Packets()
+	split := 0
+	for i, tp := range sorted {
+		if i > 0 && tp.Pkt.TCP.HasFlag(packet.FlagSYN) && !tp.Pkt.TCP.HasFlag(packet.FlagACK) {
+			split = i
+		}
+	}
+	if split == 0 {
+		t.Fatal("no second session in the capture")
+	}
+	disordered := append(slices.Clone(sorted[split:]), sorted[:split]...)
+	first := disordered[0]
+
+	want := New(Config{}).AnalyzePackets(sorted)
+	if len(want.Transfers) != 2 {
+		t.Fatalf("sorted capture: %d transfers, want 2", len(want.Transfers))
+	}
+	got := New(Config{}).AnalyzePackets(disordered)
+	if !bytes.Equal(serializeReport(t, got), serializeReport(t, want)) {
+		t.Error("a time-disordered slice is analyzed unlike the same packets in time order")
+	}
+	if n := got.Degradation.TimestampRegressions; n != 0 {
+		t.Errorf("%d timestamp regressions after the sort", n)
+	}
+	if disordered[0] != first {
+		t.Error("AnalyzePackets reordered its caller's slice")
+	}
+
+	data, _ := writePcap(t, disordered, 0)
+	streamed, err := New(Config{}).AnalyzePcap(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed.Degradation.TimestampRegressions == 0 {
+		t.Error("the disordered capture streams without a regression; the test is vacuous")
 	}
 }

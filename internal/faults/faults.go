@@ -119,8 +119,8 @@ func regionSpan(frame []byte, region Region) (int, int) {
 	if region == RegionAny || len(frame) == 0 {
 		return lo, hi
 	}
-	p, err := packet.Decode(frame)
-	if err != nil {
+	var p packet.Packet
+	if err := packet.DecodeInto(frame, &p); err != nil {
 		return lo, hi
 	}
 	ipStart := packet.EthernetHeaderLen
@@ -163,12 +163,12 @@ func FlipBytes(frac float64, flips int, region Region) Fault {
 // length mid-transfer.
 func CorruptBGPLength(frac float64) Fault {
 	return func(rnd *rand.Rand, recs []pcapio.Record) []pcapio.Record {
+		var p packet.Packet
 		for i := range recs {
 			if rnd.Float64() >= frac {
 				continue
 			}
-			p, err := packet.Decode(recs[i].Data)
-			if err != nil || len(p.Payload) < 19 {
+			if err := packet.DecodeInto(recs[i].Data, &p); err != nil || len(p.Payload) < 19 {
 				continue
 			}
 			// The payload starts at a message boundary for the first data
@@ -269,9 +269,9 @@ func OrphanConnections(frac float64) Fault {
 		}
 		seen := map[halfKey]verdict{}
 		out := recs[:0]
+		var p packet.Packet
 		for _, r := range recs {
-			p, err := packet.Decode(r.Data)
-			if err != nil {
+			if err := packet.DecodeInto(r.Data, &p); err != nil {
 				out = append(out, r)
 				continue
 			}

@@ -81,9 +81,9 @@ func TestSnapLenClipsButKeepsOrigLen(t *testing.T) {
 func TestFlipBytesAimsAtRegion(t *testing.T) {
 	recs := baseRecords(t)
 	flipped := Apply(5, recs, FlipBytes(1, 1, RegionPayload))
+	var orig packet.Packet
 	for i := range recs {
-		orig, err := packet.Decode(recs[i].Data)
-		if err != nil || len(orig.Payload) == 0 {
+		if err := packet.DecodeInto(recs[i].Data, &orig); err != nil || len(orig.Payload) == 0 {
 			continue
 		}
 		headerLen := len(recs[i].Data) - len(orig.Payload)
@@ -96,9 +96,9 @@ func TestFlipBytesAimsAtRegion(t *testing.T) {
 func TestCorruptBGPLengthBreaksFraming(t *testing.T) {
 	recs := Apply(2, baseRecords(t), CorruptBGPLength(1))
 	damaged := 0
+	var p packet.Packet
 	for _, r := range recs {
-		p, err := packet.Decode(r.Data)
-		if err != nil || len(p.Payload) < 19 {
+		if err := packet.DecodeInto(r.Data, &p); err != nil || len(p.Payload) < 19 {
 			continue
 		}
 		if p.Payload[16] == 0xFF && p.Payload[17] == 0xF0 {
@@ -127,9 +127,9 @@ func TestClockRegressionStepsBack(t *testing.T) {
 func TestOrphanConnectionsDropsOneDirection(t *testing.T) {
 	recs := Apply(4, baseRecords(t), OrphanConnections(1))
 	srcs := map[string]bool{}
+	var p packet.Packet
 	for _, r := range recs {
-		p, err := packet.Decode(r.Data)
-		if err != nil {
+		if err := packet.DecodeInto(r.Data, &p); err != nil {
 			continue
 		}
 		srcs[p.IP.Src.String()] = true

@@ -92,9 +92,9 @@ func run() error {
 	// …BGP payload bytes with corrupt framing for the message parser…
 	damaged := faults.Apply(2, recs, faults.CorruptBGPLength(0.5))
 	seeded := 0
+	var p packet.Packet
 	for _, r := range damaged {
-		p, err := packet.Decode(r.Data)
-		if err != nil || len(p.Payload) < 19 {
+		if err := packet.DecodeInto(r.Data, &p); err != nil || len(p.Payload) < 19 {
 			continue
 		}
 		if err := writeFuzzSeed(bgpFuzzDir, fmt.Sprintf("adversarial-%d", seeded), p.Payload); err != nil {

@@ -7,8 +7,10 @@
 package flows
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 
@@ -319,27 +321,16 @@ type rawConn struct {
 }
 
 // Extract groups packets into connections and analyzes each with default
-// options. Connections are returned in order of first packet.
+// options. Connections are returned in order of first packet. Packets are
+// grouped in time order: a time-disordered slice is sorted (stably) first.
 func Extract(pkts []TimedPacket) []*Connection {
-	conns, _ := ExtractOptsStats(pkts, DefaultOptions(), new(bytepack.Packer))
-	return conns
-}
-
-// ExtractOptsStats is Extract with explicit classification options and
-// payloads copied into pack (see Demuxer.UsePacker), also returning the
-// demuxer's degradation statistics (evictions, resumed connections,
-// timestamp regressions).
-func ExtractOptsStats(pkts []TimedPacket, opts Options, pack *bytepack.Packer) ([]*Connection, DemuxStats) {
-	sorted := pkts
-	if !timeSorted(pkts) {
-		sorted = append([]TimedPacket(nil), pkts...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
+	if !slices.IsSortedFunc(pkts, byTime) {
+		pkts = slices.Clone(pkts)
+		slices.SortStableFunc(pkts, byTime)
 	}
-
 	byIdx := map[int]*Connection{}
-	d := NewDemuxer(opts, func(idx int, c *Connection) { byIdx[idx] = c })
-	d.UsePacker(pack)
-	for _, tp := range sorted {
+	d := NewDemuxer(DefaultOptions(), func(idx int, c *Connection) { byIdx[idx] = c })
+	for _, tp := range pkts {
 		d.Add(tp)
 	}
 	total := d.Finish()
@@ -349,20 +340,11 @@ func ExtractOptsStats(pkts []TimedPacket, opts Options, pack *bytepack.Packer) (
 			out = append(out, c)
 		}
 	}
-	return out, d.Stats()
+	return out
 }
 
-// timeSorted reports whether pkts is already in non-decreasing time order —
-// the common case for real captures, where ExtractOptsStats skips the
-// defensive copy-and-sort entirely.
-func timeSorted(pkts []TimedPacket) bool {
-	for i := 1; i < len(pkts); i++ {
-		if pkts[i].Time < pkts[i-1].Time {
-			return false
-		}
-	}
-	return true
-}
+// byTime orders packets by capture time.
+func byTime(a, b TimedPacket) int { return cmp.Compare(a.Time, b.Time) }
 
 // Demuxer incrementally groups a packet stream into TCP connections and
 // emits each connection as soon as it is known to be complete, so that
@@ -375,8 +357,9 @@ func timeSorted(pkts []TimedPacket) bool {
 // Packets should be fed in capture order (time order, as a sniffer writes
 // them). Input that turns out to be time-disordered is tolerated: each
 // connection's packets are re-sorted before analysis, though connection
-// grouping then follows arrival order rather than time order —
-// ExtractOptsStats pre-sorts, so the slice path is unaffected.
+// grouping then follows arrival order rather than time order — the slice
+// entry points (Extract, core's AnalyzePackets) pre-sort, so they are
+// unaffected.
 //
 // emit runs in the caller's goroutine (inside Add or Finish) and receives
 // the connection's creation index — the order of its first packet — which
@@ -624,19 +607,19 @@ func (d *Demuxer) Finish() int {
 }
 
 // FromPcap decodes pcap records and extracts connections. Undecodable
-// records are counted and skipped (tcpdump drop artifacts).
+// records are counted and skipped (tcpdump drop artifacts). The packets
+// are decoded in place, as views of the records' bytes; Extract copies
+// what it keeps.
 func FromPcap(records []pcapio.Record) ([]*Connection, int) {
-	var pkts []TimedPacket
-	skipped := 0
-	for _, r := range records {
-		p, err := packet.Decode(r.Data)
-		if err != nil {
-			skipped++
+	decoded := make([]packet.Packet, len(records))
+	pkts := make([]TimedPacket, 0, len(records))
+	for i, r := range records {
+		if err := packet.DecodeInto(r.Data, &decoded[i]); err != nil {
 			continue
 		}
-		pkts = append(pkts, TimedPacket{Time: r.TimeMicros, Pkt: p})
+		pkts = append(pkts, TimedPacket{Time: r.TimeMicros, Pkt: &decoded[i]})
 	}
-	return Extract(pkts), skipped
+	return Extract(pkts), len(records) - len(pkts)
 }
 
 // analyze orients a raw connection and derives events, labels, and profile.

@@ -3,11 +3,13 @@ package flows
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"tdat/internal/bytepack"
 	"tdat/internal/packet"
+	"tdat/internal/pcapio"
 )
 
 var (
@@ -44,6 +46,21 @@ func (b *builder) handshake(t Micros, rtt Micros, sISN, rISN uint32, mss uint16)
 	synack := b.add(t+100, receiverEP, senderEP, rISN, sISN+1, packet.FlagSYN|packet.FlagACK, 65535, 0)
 	synack.TCP.SetMSS(mss)
 	b.add(t+100+rtt, senderEP, receiverEP, sISN+1, rISN+1, packet.FlagACK, 65535, 0)
+}
+
+// extractOpts is Extract with explicit options, also returning the
+// demuxer's statistics: the packets are demuxed in time order and the
+// connections come back as the demuxer emits them.
+func extractOpts(pkts []TimedPacket, opts Options) ([]*Connection, DemuxStats) {
+	pkts = slices.Clone(pkts)
+	slices.SortStableFunc(pkts, byTime)
+	var conns []*Connection
+	d := NewDemuxer(opts, func(_ int, c *Connection) { conns = append(conns, c) })
+	for _, tp := range pkts {
+		d.Add(tp)
+	}
+	d.Finish()
+	return conns, d.Stats()
 }
 
 func TestExtractSingleConnectionProfile(t *testing.T) {
@@ -188,7 +205,7 @@ func TestDisableReorderFilterAblation(t *testing.T) {
 	b.handshake(0, 10_000, 0, 0, 1460)
 	b.add(20_500, senderEP, receiverEP, 1, 1, packet.FlagACK, 65535, 1460)
 	b.add(20_000, senderEP, receiverEP, 1461, 1, packet.FlagACK, 65535, 1460)
-	conns, _ := ExtractOptsStats(b.pkts, Options{DisableReorderFilter: true}, new(bytepack.Packer))
+	conns, _ := extractOpts(b.pkts, Options{DisableReorderFilter: true})
 	if conns[0].UpstreamLoss.Empty() {
 		t.Error("with the filter disabled, reordering must count as upstream loss")
 	}
@@ -398,7 +415,7 @@ func TestMaxTrackedEvictsOldest(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.MaxTracked = 2
-	conns, stats := ExtractOptsStats(b.pkts, opts, new(bytepack.Packer))
+	conns, stats := extractOpts(b.pkts, opts)
 	if len(conns) != 6 {
 		t.Fatalf("extracted %d connections, want 6", len(conns))
 	}
@@ -593,6 +610,56 @@ func TestUsePackerRefillsBlocks(t *testing.T) {
 	for i := range first {
 		if unsafe.SliceData(first[i].Payload) != unsafe.SliceData(second[i].Payload) {
 			t.Errorf("payload %d of the second capture is not where the first capture's was", i)
+		}
+	}
+}
+
+// TestFromPcapMatchesExtract checks FromPcap against Extract on the same
+// packets: records written out of time order, with an undecodable one
+// among them, give the connection Extract gives, one skipped record, and
+// payloads that stay intact after the records' buffers are overwritten.
+func TestFromPcapMatchesExtract(t *testing.T) {
+	b := &builder{}
+	b.handshake(0, 10_000, 0, 0, 1460)
+	b.add(20_000, senderEP, receiverEP, 1, 1, packet.FlagACK, 65535, 1460)
+	b.add(20_100, senderEP, receiverEP, 1461, 1, packet.FlagACK, 65535, 900)
+	b.add(30_000, receiverEP, senderEP, 1, 2361, packet.FlagACK, 65535, 0)
+	for i, tp := range b.pkts {
+		for j := range tp.Pkt.Payload {
+			tp.Pkt.Payload[j] = byte(i + j)
+		}
+	}
+	var recs []pcapio.Record
+	for _, tp := range b.pkts {
+		frame, err := tp.Pkt.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, pcapio.Record{TimeMicros: tp.Time, Data: frame})
+	}
+	recs[3], recs[4] = recs[4], recs[3]
+	recs = append(recs, pcapio.Record{TimeMicros: 40_000, Data: []byte{0xde, 0xad}})
+
+	got, skipped := FromPcap(recs)
+	for _, r := range recs {
+		for i := range r.Data {
+			r.Data[i] = 0xEE
+		}
+	}
+	want := Extract(b.pkts)
+	if skipped != 1 || len(got) != 1 || len(want) != 1 {
+		t.Fatalf("FromPcap: %d connections, %d skipped; Extract: %d connections", len(got), skipped, len(want))
+	}
+	if got[0].Profile != want[0].Profile {
+		t.Errorf("profile %+v, want %+v", got[0].Profile, want[0].Profile)
+	}
+	if len(got[0].Data) != len(want[0].Data) {
+		t.Fatalf("%d data events, want %d", len(got[0].Data), len(want[0].Data))
+	}
+	for i := range want[0].Data {
+		g, w := got[0].Data[i], want[0].Data[i]
+		if g.Time != w.Time || g.Seq != w.Seq || g.Kind != w.Kind || !bytes.Equal(g.Payload, w.Payload) {
+			t.Errorf("data event %d: %+v, want %+v", i, g, w)
 		}
 	}
 }

@@ -165,8 +165,8 @@ func TestSnifferWritePcap(t *testing.T) {
 	if recs[0].TimeMicros != 1234 {
 		t.Errorf("time = %d", recs[0].TimeMicros)
 	}
-	p, err := packet.Decode(recs[0].Data)
-	if err != nil || len(p.Payload) != 99 {
+	var p packet.Packet
+	if err := packet.DecodeInto(recs[0].Data, &p); err != nil || len(p.Payload) != 99 {
 		t.Errorf("decode: %v payload=%d", err, len(p.Payload))
 	}
 }

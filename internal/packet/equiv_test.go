@@ -40,15 +40,15 @@ func samePacket(ref, zc *Packet) error {
 // both accept or both reject, and on acceptance produce identical packets.
 func checkEquiv(t *testing.T, frame []byte) {
 	t.Helper()
-	ref, refErr := Decode(frame)
+	ref, refErr := refDecode(frame)
 	var zc Packet
 	zcErr := DecodeInto(frame, &zc)
 	if (refErr == nil) != (zcErr == nil) {
-		t.Fatalf("decoders disagree on acceptance: Decode err=%v, DecodeInto err=%v", refErr, zcErr)
+		t.Fatalf("decoders disagree on acceptance: refDecode err=%v, DecodeInto err=%v", refErr, zcErr)
 	}
 	if refErr != nil {
 		if refErr.Error() != zcErr.Error() {
-			t.Fatalf("decoders disagree on error: Decode %q, DecodeInto %q", refErr, zcErr)
+			t.Fatalf("decoders disagree on error: refDecode %q, DecodeInto %q", refErr, zcErr)
 		}
 		return
 	}
@@ -119,7 +119,7 @@ func TestDecodeIntoEquivalence(t *testing.T) {
 			hdr = append(hdr, 0)
 		}
 		hdr[tcpOff+12] = uint8((20+len(hdr[tcpOff+20:]))/4) << 4
-		// Fix the IP total length; checksums are not re-verified by Decode.
+		// Fix the IP total length; checksums are not re-verified by either decoder.
 		total := len(hdr) - EthernetHeaderLen
 		hdr[EthernetHeaderLen+2] = byte(total >> 8)
 		hdr[EthernetHeaderLen+3] = byte(total)
@@ -161,7 +161,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 	if err := DecodeInto(small, &p); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Decode(small)
+	ref, err := refDecode(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func BenchmarkDecodeInto(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeReference prices the retained copying decoder for the
+// BenchmarkDecodeReference prices the reference copying decoder for the
 // BENCH_speed.json trajectory (the old hot path).
 func BenchmarkDecodeReference(b *testing.B) {
 	frame, err := samplePacket().Marshal()
@@ -225,7 +225,7 @@ func BenchmarkDecodeReference(b *testing.B) {
 	b.SetBytes(int64(len(frame)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(frame); err != nil {
+		if _, err := refDecode(frame); err != nil {
 			b.Fatal(err)
 		}
 	}

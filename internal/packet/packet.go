@@ -324,108 +324,25 @@ func (p *Packet) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses an Ethernet II frame carrying IPv4/TCP. Frames with other
-// ether types or IP protocols return ErrBadHeader; short frames return
-// ErrTruncated.
-func Decode(frame []byte) (*Packet, error) {
-	if len(frame) < EthernetHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes for Ethernet header", ErrTruncated, len(frame))
-	}
-	var p Packet
-	copy(p.Ether.Dst[:], frame[0:6])
-	copy(p.Ether.Src[:], frame[6:12])
-	p.Ether.EtherType = binary.BigEndian.Uint16(frame[12:14])
-	if p.Ether.EtherType != EtherTypeIPv4 {
-		return nil, fmt.Errorf("%w: ether type 0x%04x", ErrBadHeader, p.Ether.EtherType)
-	}
-
-	ip := frame[EthernetHeaderLen:]
-	if len(ip) < IPv4HeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes for IPv4 header", ErrTruncated, len(ip))
-	}
-	if v := ip[0] >> 4; v != 4 {
-		return nil, fmt.Errorf("%w: version %d", ErrBadVersion, v)
-	}
-	ihl := int(ip[0]&0x0F) * 4
-	if ihl < IPv4HeaderLen || len(ip) < ihl {
-		return nil, fmt.Errorf("%w: IHL %d", ErrBadHeader, ihl)
-	}
-	p.IP.TOS = ip[1]
-	p.IP.TotalLen = binary.BigEndian.Uint16(ip[2:4])
-	p.IP.ID = binary.BigEndian.Uint16(ip[4:6])
-	ff := binary.BigEndian.Uint16(ip[6:8])
-	p.IP.Flags = uint8(ff >> 13)
-	p.IP.FragOff = ff & 0x1FFF
-	p.IP.TTL = ip[8]
-	p.IP.Protocol = ip[9]
-	p.IP.Src = netip.AddrFrom4([4]byte(ip[12:16]))
-	p.IP.Dst = netip.AddrFrom4([4]byte(ip[16:20]))
-	if p.IP.Protocol != ProtoTCP {
-		return nil, fmt.Errorf("%w: IP protocol %d", ErrBadHeader, p.IP.Protocol)
-	}
-	if int(p.IP.TotalLen) < ihl || int(p.IP.TotalLen) > len(ip) {
-		return nil, fmt.Errorf("%w: IP total length %d vs %d captured", ErrTruncated, p.IP.TotalLen, len(ip))
-	}
-
-	tcp := ip[ihl:p.IP.TotalLen]
-	if len(tcp) < 20 {
-		return nil, fmt.Errorf("%w: %d bytes for TCP header", ErrTruncated, len(tcp))
-	}
-	p.TCP.SrcPort = binary.BigEndian.Uint16(tcp[0:2])
-	p.TCP.DstPort = binary.BigEndian.Uint16(tcp[2:4])
-	p.TCP.Seq = binary.BigEndian.Uint32(tcp[4:8])
-	p.TCP.Ack = binary.BigEndian.Uint32(tcp[8:12])
-	dataOff := int(tcp[12]>>4) * 4
-	if dataOff < 20 || dataOff > len(tcp) {
-		return nil, fmt.Errorf("%w: TCP data offset %d", ErrBadHeader, dataOff)
-	}
-	p.TCP.Flags = tcp[13]
-	p.TCP.Window = binary.BigEndian.Uint16(tcp[14:16])
-	p.TCP.Urgent = binary.BigEndian.Uint16(tcp[18:20])
-	opts := tcp[20:dataOff]
-	for len(opts) > 0 {
-		kind := opts[0]
-		switch kind {
-		case OptEnd:
-			opts = nil
-		case OptNOP:
-			p.TCP.Options = append(p.TCP.Options, TCPOption{Kind: OptNOP})
-			opts = opts[1:]
-		default:
-			if len(opts) < 2 {
-				return nil, fmt.Errorf("%w: dangling TCP option kind %d", ErrBadHeader, kind)
-			}
-			olen := int(opts[1])
-			if olen < 2 || olen > len(opts) {
-				return nil, fmt.Errorf("%w: TCP option kind %d length %d", ErrBadHeader, kind, olen)
-			}
-			data := make([]byte, olen-2)
-			copy(data, opts[2:olen])
-			p.TCP.Options = append(p.TCP.Options, TCPOption{Kind: kind, Data: data})
-			opts = opts[olen:]
-		}
-	}
-	p.Payload = append([]byte(nil), tcp[dataOff:]...)
-	return &p, nil
-}
-
 // DecodeInto parses an Ethernet II frame carrying IPv4/TCP into a
 // caller-provided struct without allocating: the TCP option Data fields and
 // the Payload are typed views into frame (no copies), and the Options slice
-// reuses p's existing backing array. It is the analyzer's hot-path decoder
-// — zero allocations per packet once p's option capacity has warmed up
-// (enforced by TestDecodeIntoAllocs and the CI bench gate).
+// reuses p's existing backing array. Frames with other ether types or IP
+// protocols return ErrBadHeader; short frames return ErrTruncated. It is
+// the one decoder every caller uses — zero allocations per packet once p's
+// option capacity has warmed up (enforced by TestDecodeIntoAllocs and the
+// CI bench gate).
 //
 // Buffer ownership: every byte-slice field of p aliases frame, so p is only
 // valid while frame's contents are. Callers that reuse the frame buffer
 // (pcapio.Reader.ReadInto and EachInto) must consume or copy what they
 // need from p before the next read; the flows demuxer does this by copying
-// payload bytes into its per-connection arena. Callers that need a
-// self-contained packet use Decode, which copies.
+// payload bytes into its payload blocks.
 //
-// Decode is retained verbatim as the reference decoder: FuzzDecodeEquiv
-// asserts both decoders accept the same inputs and produce identical
-// structs (up to the view-vs-copy distinction) on arbitrary bytes.
+// The package's tests keep a copying decoder as the reference:
+// FuzzDecodeEquiv asserts both decoders accept the same inputs and produce
+// identical structs (up to the view-vs-copy distinction) on arbitrary
+// bytes.
 func DecodeInto(frame []byte, p *Packet) error {
 	if len(frame) < EthernetHeaderLen {
 		return fmt.Errorf("%w: %d bytes for Ethernet header", ErrTruncated, len(frame))

@@ -45,9 +45,9 @@ func TestMarshalDecodeRoundTrip(t *testing.T) {
 	if !VerifyIPChecksum(frame) {
 		t.Error("IP checksum does not verify")
 	}
-	got, err := Decode(frame)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+	var got Packet
+	if err := DecodeInto(frame, &got); err != nil {
+		t.Fatalf("DecodeInto: %v", err)
 	}
 	if got.TCP.SrcPort != 179 || got.TCP.DstPort != 41000 {
 		t.Errorf("ports = %d,%d", got.TCP.SrcPort, got.TCP.DstPort)
@@ -87,8 +87,8 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Decode(frame)
-		if err != nil {
+		var got Packet
+		if err := DecodeInto(frame, &got); err != nil {
 			return false
 		}
 		return got.TCP.Seq == p.TCP.Seq &&
@@ -135,9 +135,9 @@ func TestDecodeErrors(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			frame := tt.mangle(append([]byte(nil), good...))
-			_, err := Decode(frame)
-			if !errors.Is(err, tt.wantErr) {
-				t.Errorf("Decode error = %v, want %v", err, tt.wantErr)
+			var p Packet
+			if err := DecodeInto(frame, &p); !errors.Is(err, tt.wantErr) {
+				t.Errorf("DecodeInto error = %v, want %v", err, tt.wantErr)
 			}
 		})
 	}
@@ -178,8 +178,8 @@ func TestOptionsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(frame)
-	if err != nil {
+	var got Packet
+	if err := DecodeInto(frame, &got); err != nil {
 		t.Fatal(err)
 	}
 	mss, ok := got.TCP.MSS()
@@ -249,8 +249,8 @@ func TestSACKBlocksRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(frame)
-	if err != nil {
+	var got Packet
+	if err := DecodeInto(frame, &got); err != nil {
 		t.Fatal(err)
 	}
 	blocks := got.TCP.SACKBlocks()

@@ -213,30 +213,6 @@ func (r *Reader) RecordsRead() int64 { return r.records }
 // complete record) — an exact file offset for progress/ETA computation.
 func (r *Reader) BytesRead() int64 { return r.bytes }
 
-// Next returns the next record, or io.EOF at a clean end of file. Damage is
-// reported as a *RecordError locating the unreadable record: a file that
-// ends mid-record wraps ErrTruncated (callers treat it as the paper treats
-// tcpdump drop gaps — the trailing partial data is excluded), and a record
-// header claiming an implausible capture length wraps ErrCorrupt (pcap
-// framing has no resync point, so reading cannot continue past it).
-//
-// Each record's Data is freshly allocated, so callers may retain it. The
-// analyzer's hot path uses ReadInto instead, which reuses a caller-owned
-// buffer and allocates nothing per record.
-func (r *Reader) Next() (Record, error) {
-	capLen, origLen, tm, err := r.readRecordHeader()
-	if err != nil {
-		return Record{}, err
-	}
-	data, err := readData(r.r, int(capLen))
-	if err != nil {
-		return Record{}, r.recordErr(fmt.Errorf("%w: record data: %v", ErrTruncated, err))
-	}
-	r.records++
-	r.bytes += 16 + int64(capLen)
-	return Record{TimeMicros: tm, OrigLen: int(origLen), Data: data}, nil
-}
-
 // ReadInto reads the next record into rec, reusing rec.Data's backing array
 // (growing it only when a record exceeds its capacity). After the first few
 // records the loop performs zero allocations (enforced by
@@ -245,8 +221,14 @@ func (r *Reader) Next() (Record, error) {
 //
 // Buffer ownership: rec.Data is owned by the caller and overwritten by the
 // next ReadInto — downstream layers must copy whatever bytes they keep
-// (packet.DecodeInto documents the same rule for its field views). io.EOF
-// marks a clean end of file; damage reporting matches Next.
+// (packet.DecodeInto documents the same rule for its field views).
+//
+// io.EOF marks a clean end of file. Damage is reported as a *RecordError
+// locating the unreadable record: a file that ends mid-record wraps
+// ErrTruncated (callers treat it as the paper treats tcpdump drop gaps —
+// the trailing partial data is excluded), and a record header claiming an
+// implausible capture length wraps ErrCorrupt (pcap framing has no resync
+// point, so reading cannot continue past it).
 func (r *Reader) ReadInto(rec *Record) error {
 	capLen, origLen, tm, err := r.readRecordHeader()
 	if err != nil {
@@ -254,28 +236,23 @@ func (r *Reader) ReadInto(rec *Record) error {
 	}
 	n := int(capLen)
 	buf := rec.Data[:0]
-	if cap(buf) >= n {
-		// Steady state: the buffer already fits, one read, no allocation.
-		buf = buf[:n]
-		if _, err := io.ReadFull(r.r, buf); err != nil {
+	// Read in bounded steps, growing the buffer only past its capacity: a
+	// lying header over a short file must not force a huge up-front
+	// allocation, and a record cut short reports the same error whatever
+	// the buffer held before. Once the buffer fits, a record of up to
+	// 64 KiB is one read and no allocation.
+	const chunk = 1 << 16
+	for len(buf) < n {
+		off := len(buf)
+		step := min(n-off, chunk)
+		if cap(buf) >= off+step {
+			buf = buf[:off+step]
+		} else {
+			buf = append(buf, make([]byte, step)...)
+		}
+		if _, err := io.ReadFull(r.r, buf[off:]); err != nil {
 			rec.Data = buf[:0]
 			return r.recordErr(fmt.Errorf("%w: record data: %v", ErrTruncated, err))
-		}
-	} else {
-		// Growth path — incremental, mirroring readData: a lying header
-		// over a short file must not force a huge up-front allocation.
-		const chunk = 1 << 16
-		for len(buf) < n {
-			step := n - len(buf)
-			if step > chunk {
-				step = chunk
-			}
-			off := len(buf)
-			buf = append(buf, make([]byte, step)...)
-			if _, err := io.ReadFull(r.r, buf[off:]); err != nil {
-				rec.Data = buf[:0]
-				return r.recordErr(fmt.Errorf("%w: record data: %v", ErrTruncated, err))
-			}
 		}
 	}
 	r.records++
@@ -287,7 +264,7 @@ func (r *Reader) ReadInto(rec *Record) error {
 }
 
 // readRecordHeader parses the next 16-byte record header, applying the
-// corrupt-length clamp shared by Next and ReadInto.
+// corrupt-length clamp.
 func (r *Reader) readRecordHeader() (capLen, origLen uint32, timeMicros int64, err error) {
 	hdr := &r.hdr
 	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
@@ -319,61 +296,16 @@ func (r *Reader) recordErr(err error) error {
 	return &RecordError{Index: r.records, Offset: r.bytes, Err: err}
 }
 
-// readData reads exactly n record bytes. Small records (the overwhelmingly
-// common case) are read in one allocation; implausibly large claims are
-// read incrementally so a lying header over a short file cannot force a
-// huge up-front allocation.
-func readData(r io.Reader, n int) ([]byte, error) {
-	const chunk = 1 << 16
-	if n <= chunk {
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, err
-		}
-		return data, nil
-	}
-	data := make([]byte, 0, chunk)
-	for len(data) < n {
-		step := n - len(data)
-		if step > chunk {
-			step = chunk
-		}
-		off := len(data)
-		data = append(data, make([]byte, step)...)
-		if _, err := io.ReadFull(r, data[off:]); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}
-
-// Each streams every record in r through fn without buffering the file —
-// the ingest stage of the analysis pipeline, where downstream work starts
-// while the trace is still being read. Iteration stops at the first fn
-// error (returned verbatim). A trailing truncated record is reported like
-// a tcpdump drop gap: fn has already seen every complete record and Each
-// returns ErrTruncated.
-func (r *Reader) Each(fn func(Record) error) error {
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-}
-
-// EachInto is Each on the reused-buffer read mode: every record is streamed
-// through fn in one caller-owned Record whose Data buffer is recycled
-// between calls, so a whole-file scan performs no per-record allocation. fn
-// must not retain rec.Data (or any packet.DecodeInto view into it) past its
-// return — layers that keep bytes copy them (the flows demuxer's
-// per-connection arena). Error reporting matches Each.
+// EachInto streams every record in r through fn without buffering the file
+// — the ingest stage of the analysis pipeline, where downstream work starts
+// while the trace is still being read. Every record arrives in one Record
+// whose Data buffer is recycled between calls (ReadInto), so a whole-file
+// scan performs no per-record allocation; fn must not retain rec.Data (or
+// any packet.DecodeInto view into it) past its return — layers that keep
+// bytes copy them (the flows demuxer's payload blocks). Iteration stops at
+// the first fn error (returned verbatim). A trailing truncated record is
+// reported like a tcpdump drop gap: fn has already seen every complete
+// record and EachInto returns the *RecordError wrapping ErrTruncated.
 func (r *Reader) EachInto(fn func(Record) error) error {
 	var rec Record
 	for {
@@ -390,17 +322,24 @@ func (r *Reader) EachInto(fn func(Record) error) error {
 	}
 }
 
-// ReadAll drains the reader into a slice. Trailing truncation is reported
-// alongside the records read so far.
+// ReadAll reads every record of r into a slice, each with a copy of its
+// data. Trailing damage is reported alongside the records read before it.
 func ReadAll(r io.Reader) ([]Record, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	var out []Record
-	err = rd.Each(func(rec Record) error {
-		out = append(out, rec)
-		return nil
-	})
-	return out, err
+	var (
+		out []Record
+		rec Record
+	)
+	for {
+		if err := rd.ReadInto(&rec); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return out, err
+		}
+		out = append(out, Record{TimeMicros: rec.TimeMicros, OrigLen: rec.OrigLen, Data: append([]byte{}, rec.Data...)})
+	}
 }

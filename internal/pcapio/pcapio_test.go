@@ -184,7 +184,7 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestNextEOFAtCleanEnd(t *testing.T) {
+func TestReadIntoEOFAtCleanEnd(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	if err := w.WritePacket(5, []byte{9}); err != nil {
@@ -197,11 +197,12 @@ func TestNextEOFAtCleanEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err != nil {
-		t.Fatalf("first Next: %v", err)
+	var rec Record
+	if err := r.ReadInto(&rec); err != nil {
+		t.Fatalf("first ReadInto: %v", err)
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("second Next err = %v, want io.EOF", err)
+	if err := r.ReadInto(&rec); err != io.EOF {
+		t.Errorf("second ReadInto err = %v, want io.EOF", err)
 	}
 	if r.SnapLen() != DefaultSnapLen {
 		t.Errorf("SnapLen = %d", r.SnapLen())
@@ -250,14 +251,15 @@ func TestImplausibleCaptureLengthRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append a record header claiming a gigantic capture length.
-	var rec [16]byte
-	binary.LittleEndian.PutUint32(rec[8:12], 0xFFFFFFF0)
-	buf.Write(rec[:])
+	var hdr [16]byte
+	binary.LittleEndian.PutUint32(hdr[8:12], 0xFFFFFFF0)
+	buf.Write(hdr[:])
 	r, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err == nil {
-		t.Error("implausible length accepted")
+	var rec Record
+	if err := r.ReadInto(&rec); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("implausible length: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -30,9 +30,9 @@ func writeTestCapture(t testing.TB, n int) ([]byte, []Record) {
 	return buf.Bytes(), want
 }
 
-// TestReadIntoMatchesNext proves the reused-buffer mode yields exactly the
-// records Next does, record for record.
-func TestReadIntoMatchesNext(t *testing.T) {
+// TestReadIntoMatchesWritten proves the reused-buffer mode yields exactly
+// the records the writer wrote, record for record.
+func TestReadIntoMatchesWritten(t *testing.T) {
 	file, want := writeTestCapture(t, 64)
 	r, err := NewReader(bytes.NewReader(file))
 	if err != nil {
@@ -57,44 +57,57 @@ func TestReadIntoMatchesNext(t *testing.T) {
 	}
 }
 
-// TestEachIntoMatchesEach runs both streaming modes over the same capture
-// and asserts identical records and identical truncation reporting.
-func TestEachIntoMatchesEach(t *testing.T) {
-	file, _ := writeTestCapture(t, 48)
-	for _, cut := range []int{0, 3, 9} { // clean, mid-record, mid-header
+// TestEachIntoMatchesWritten streams a capture whole, cut inside its last
+// record's data and cut inside its last record's header, through EachInto
+// and ReadAll: both must yield the records the writer wrote before the
+// cut, and report the cut as a RecordError locating the last record.
+func TestEachIntoMatchesWritten(t *testing.T) {
+	file, want := writeTestCapture(t, 48)
+	last := len(want) - 1
+	lastStart := int64(len(file) - 16 - len(want[last].Data))
+	for _, cut := range []int{0, 3, len(want[last].Data) + 9} { // clean, mid-data, mid-header
 		in := file[:len(file)-cut]
-		collect := func(stream func(*Reader, func(Record) error) error) ([]Record, error) {
-			r, err := NewReader(bytes.NewReader(in))
-			if err != nil {
-				t.Fatal(err)
+		r, err := NewReader(bytes.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var streamed []Record
+		eachErr := r.EachInto(func(rec Record) error {
+			streamed = append(streamed, Record{TimeMicros: rec.TimeMicros, OrigLen: rec.OrigLen,
+				Data: append([]byte(nil), rec.Data...)})
+			return nil
+		})
+		all, allErr := ReadAll(bytes.NewReader(in))
+		wantRecs := want
+		if cut > 0 {
+			wantRecs = want[:last]
+			var re *RecordError
+			if !errors.As(eachErr, &re) || !errors.Is(eachErr, ErrTruncated) ||
+				re.Index != int64(last) || re.Offset != lastStart {
+				t.Fatalf("cut %d: EachInto err %v, want ErrTruncated at record %d byte %d", cut, eachErr, last, lastStart)
 			}
-			var out []Record
-			err = stream(r, func(rec Record) error {
-				out = append(out, Record{TimeMicros: rec.TimeMicros, OrigLen: rec.OrigLen,
-					Data: append([]byte(nil), rec.Data...)})
-				return nil
-			})
-			return out, err
+		} else if eachErr != nil {
+			t.Fatalf("cut %d: EachInto err %v", cut, eachErr)
 		}
-		got, gotErr := collect((*Reader).EachInto)
-		want, wantErr := collect((*Reader).Each)
-		if (gotErr == nil) != (wantErr == nil) ||
-			(gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("cut %d: EachInto err %v, Each err %v", cut, gotErr, wantErr)
+		if (allErr == nil) != (eachErr == nil) || (allErr != nil && allErr.Error() != eachErr.Error()) {
+			t.Fatalf("cut %d: ReadAll err %v, EachInto err %v", cut, allErr, eachErr)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("cut %d: EachInto %d records, Each %d", cut, len(got), len(want))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i].Data, want[i].Data) || got[i].TimeMicros != want[i].TimeMicros {
-				t.Fatalf("cut %d record %d mismatch", cut, i)
+		for name, got := range map[string][]Record{"EachInto": streamed, "ReadAll": all} {
+			if len(got) != len(wantRecs) {
+				t.Fatalf("cut %d: %s read %d records, want %d", cut, name, len(got), len(wantRecs))
+			}
+			for i := range got {
+				if got[i].TimeMicros != wantRecs[i].TimeMicros || got[i].OrigLen != wantRecs[i].OrigLen ||
+					!bytes.Equal(got[i].Data, wantRecs[i].Data) {
+					t.Fatalf("cut %d: %s record %d mismatch", cut, name, i)
+				}
 			}
 		}
 	}
 }
 
 // TestReadIntoTruncatedData checks that a record cut mid-data reports a
-// positioned RecordError wrapping ErrTruncated, like Next.
+// positioned RecordError wrapping ErrTruncated.
 func TestReadIntoTruncatedData(t *testing.T) {
 	file, _ := writeTestCapture(t, 4)
 	r, err := NewReader(bytes.NewReader(file[:len(file)-2]))
@@ -114,6 +127,46 @@ func TestReadIntoTruncatedData(t *testing.T) {
 	var re *RecordError
 	if !errors.As(last, &re) {
 		t.Fatalf("error %T lacks record position", last)
+	}
+}
+
+// TestCutRecordErrorIgnoresBuffer cuts a record of more than 64 KiB
+// exactly 64 KiB into its data: the error must not depend on whether the
+// buffer ReadInto reuses already held a record that large, and ReadAll,
+// which reuses one, reports the same error.
+func TestCutRecordErrorIgnoresBuffer(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := int64(1); i <= 2; i++ {
+		if err := w.WritePacket(i, make([]byte, 70_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	cut := file[:len(file)-70_000+1<<16]
+	secondErr := func(reuse bool) error {
+		r, err := NewReader(bytes.NewReader(cut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first, second Record
+		if err := r.ReadInto(&first); err != nil {
+			t.Fatal(err)
+		}
+		if reuse {
+			return r.ReadInto(&first)
+		}
+		return r.ReadInto(&second)
+	}
+	fresh, reused := secondErr(false), secondErr(true)
+	if !errors.Is(fresh, ErrTruncated) || reused == nil || fresh.Error() != reused.Error() {
+		t.Fatalf("fresh buffer: %v; reused buffer: %v", fresh, reused)
+	}
+	if _, err := ReadAll(bytes.NewReader(cut)); err == nil || err.Error() != fresh.Error() {
+		t.Fatalf("ReadAll: %v, want %v", err, fresh)
 	}
 }
 
