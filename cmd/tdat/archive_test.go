@@ -111,7 +111,7 @@ func archiveGoldenInputs(t *testing.T) (pcapPath, mrtPath string) {
 		if r.PeerIP != routerAddr(0) {
 			continue
 		}
-		if m, err := r.Message(); err == nil && m.Type() == bgp.TypeUpdate {
+		if m, err := bgp.Parse(r.Raw); err == nil && m.Type() == bgp.TypeUpdate {
 			last = i
 		}
 	}

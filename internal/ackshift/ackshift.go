@@ -18,54 +18,41 @@ import (
 // Micros aliases the trace time unit.
 type Micros = timerange.Micros
 
-// Config tunes flight grouping; zero values select defaults.
-type Config struct {
-	// FlightGap separates ACK flights: a new flight starts when the
-	// inter-ACK spacing exceeds this fraction of the RTT (default 1/2).
-	// Expressed as a divisor to stay integral: gap > RTT/FlightGapDiv.
-	FlightGapDiv int
-	// MaxShift caps a flight's shift at this multiple of RTT ×1000 — i.e.
-	// a cap of 1.5×RTT uses MaxShiftRTTMillis = 1500. Shifts beyond it mean
-	// the association was spurious (sender idle), so the flight stays put.
-	//
-	// The legitimate release delay is one upstream delay to reach the
-	// sender plus one upstream delay for the released data to come back —
-	// exactly the handshake RTT. The default of 1.5×RTT leaves half an RTT
-	// of sender-processing slack; anything slower is the application (or a
-	// timer) deciding to send, not this ACK releasing held data. A looser
-	// cap directly raises the smallest detectable sender pacing timer: a
-	// timer tick T is attributed to ACK clocking whenever T minus one
-	// ACK-passage time fits under the cap.
-	MaxShiftRTTMillis int
-}
+// flightGapDiv separates ACK flights: a new flight starts when the
+// inter-ACK spacing exceeds this fraction of the RTT (1/2). Expressed as a
+// divisor to stay integral: gap > RTT/flightGapDiv.
+const flightGapDiv = 2
 
-func (c Config) withDefaults() Config {
-	if c.FlightGapDiv == 0 {
-		c.FlightGapDiv = 2
-	}
-	if c.MaxShiftRTTMillis == 0 {
-		c.MaxShiftRTTMillis = 1500
-	}
-	return c
-}
+// maxShiftRTTMillis caps a flight's shift at this multiple of RTT ×1000 —
+// i.e. the cap of 1.5×RTT is 1500. Shifts beyond it mean the association
+// was spurious (sender idle), so the flight stays put.
+//
+// The legitimate release delay is one upstream delay to reach the sender
+// plus one upstream delay for the released data to come back — exactly the
+// handshake RTT. The cap of 1.5×RTT leaves half an RTT of
+// sender-processing slack; anything slower is the application (or a timer)
+// deciding to send, not this ACK releasing held data. A looser cap directly
+// raises the smallest detectable sender pacing timer: a timer tick T is
+// attributed to ACK clocking whenever T minus one ACK-passage time fits
+// under the cap.
+const maxShiftRTTMillis = 1500
 
 // Shift returns a copy of c's ACK events with flight-granular forward time
 // shifts applied. The data events are untouched; series generation runs on
 // (original data, shifted ACKs), which approximates the sender-side
 // interleaving. Connections whose RTT estimate is missing are returned
 // unshifted.
-func Shift(c *flows.Connection, cfg Config) []flows.AckEvent {
-	cfg = cfg.withDefaults()
+func Shift(c *flows.Connection) []flows.AckEvent {
 	acks := append([]flows.AckEvent(nil), c.Acks...)
 	rtt := c.Profile.RTT
 	if rtt <= 0 || len(acks) == 0 || len(c.Data) == 0 {
 		return acks
 	}
-	flightGap := rtt / Micros(cfg.FlightGapDiv)
+	flightGap := rtt / flightGapDiv
 	if flightGap <= 0 {
 		flightGap = 1
 	}
-	maxShift := rtt * Micros(cfg.MaxShiftRTTMillis) / 1000
+	maxShift := rtt * maxShiftRTTMillis / 1000
 
 	// Group ACKs into flights by inter-arrival spacing.
 	type flight struct{ lo, hi int } // index range [lo,hi]

@@ -140,28 +140,3 @@ func axis(w io.Writer, span timerange.Range, labelW, width int) error {
 	_, err := fmt.Fprintf(w, "%s%s (s)\n", pad, line)
 	return err
 }
-
-// CDF renders an ASCII CDF: one line per decile with a bar.
-func CDF(w io.Writer, label string, xs []float64, unit string) error {
-	if len(xs) == 0 {
-		_, err := fmt.Fprintf(w, "%s: (no samples)\n", label)
-		return err
-	}
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s (n=%d)\n", label, len(s)); err != nil {
-		return err
-	}
-	for _, p := range []int{10, 25, 50, 75, 80, 90, 95, 99} {
-		idx := (len(s) - 1) * p / 100
-		bar := strings.Repeat("▇", p/4)
-		if _, err := fmt.Fprintf(w, "  p%-2d %-25s %10.2f %s\n", p, bar, s[idx], unit); err != nil {
-			return err
-		}
-	}
-	return nil
-}

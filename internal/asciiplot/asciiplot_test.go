@@ -88,29 +88,6 @@ func TestTimeSequenceNoData(t *testing.T) {
 	}
 }
 
-func TestCDFOutput(t *testing.T) {
-	var sb strings.Builder
-	if err := CDF(&sb, "durations", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, "s"); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"durations (n=10)", "p50", "p99"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestCDFEmpty(t *testing.T) {
-	var sb strings.Builder
-	if err := CDF(&sb, "x", nil, "s"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "no samples") {
-		t.Errorf("output = %q", sb.String())
-	}
-}
-
 func TestDefaultsAppliedForNonPositiveDims(t *testing.T) {
 	b := traceutil.New()
 	b.Handshake(0, 10_000, 1460)

@@ -314,7 +314,7 @@ func TestWriteMRTArchive(t *testing.T) {
 	}
 	prefixes := 0
 	for _, r := range recs {
-		m, err := r.Message()
+		m, err := bgp.Parse(r.Raw)
 		if err != nil {
 			t.Fatalf("MRT message: %v", err)
 		}

@@ -23,20 +23,22 @@ import (
 type Micros = timerange.Micros
 
 // Config collects the tunables of every pipeline stage. The zero value
-// selects the paper's defaults.
+// selects the paper's defaults. Only the values a deployment or the
+// paper's evaluation varies are settable; every other threshold (the
+// transfer-end rules of mct.Config, the timer knee's sharpness guard, and
+// the series and flows constants) is fixed at its default.
 type Config struct {
-	// Flows tunes connection extraction and loss classification.
+	// Flows tunes connection extraction and loss classification. Its Obs
+	// field is overwritten by New with Config.Obs: a value set there has
+	// no effect.
 	Flows flows.Options
 	// Series tunes event-series generation (including sniffer location and
-	// ACK shifting).
+	// ACK shifting). Its Obs and Explain fields are overwritten with
+	// Config.Obs and a per-connection recorder enabled by Config.Explain: a
+	// value set there has no effect.
 	Series series.Config
-	// MCT tunes transfer-end estimation.
-	MCT mct.Config
 	// MajorThreshold is the major-factor-group cutoff (default 0.3).
 	MajorThreshold float64
-	// TimerMinJump is the knee sharpness guard for timer inference
-	// (default 3).
-	TimerMinJump float64
 	// ConsecutiveLossThreshold is the burst-loss rule (default 8).
 	ConsecutiveLossThreshold int
 	// Workers sizes the per-connection analysis pool. 0 means
@@ -228,7 +230,8 @@ func (a *Analyzer) finish(tr *TransferReport, rec *explain.Recorder) {
 	}
 
 	sp = a.connSpan(obs.StageDetect, tr.Conn)
-	if res, ok := detect.TimerGapsEv(tr.Catalog, tr.Transfer, a.cfg.TimerMinJump, rec); ok {
+	// A minJump of 0 selects the knee's default sharpness guard.
+	if res, ok := detect.TimerGapsEv(tr.Catalog, tr.Transfer, 0, rec); ok {
 		tr.Timer = &res
 	}
 	tr.ConsecLoss = detect.ConsecutiveLossesEv(tr.Catalog, tr.Transfer, a.cfg.ConsecutiveLossThreshold, rec)
@@ -288,7 +291,7 @@ func (a *Analyzer) AnalyzeConnection(c *flows.Connection) *TransferReport {
 func (a *Analyzer) AnalyzeConnectionWithUpdates(c *flows.Connection, updates []mct.Update) *TransferReport {
 	return a.analyze(c, func(tr *TransferReport) timerange.Range {
 		sp := a.connSpan(obs.StageMCT, c)
-		res, ok := mct.FindEnd(updates, a.cfg.MCT)
+		res, ok := mct.FindEnd(updates, mct.Config{})
 		sp.EndN(0, int64(len(updates)))
 		return mctWindow(tr, res, ok)
 	})
@@ -326,7 +329,7 @@ func (a *Analyzer) reassembleEnd(c *flows.Connection, tr *TransferReport) (mct.R
 		return mct.Result{}, false
 	}
 	tr.Messages = msgs
-	return mct.FindEndKeys(&s.Keys, a.cfg.MCT)
+	return mct.FindEndKeys(&s.Keys, mct.Config{})
 }
 
 // scanner takes a transfer-end working set from the Analyzer, or makes one

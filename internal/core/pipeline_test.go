@@ -342,7 +342,7 @@ func TestDemuxerEmitsCompletedConnectionsEarly(t *testing.T) {
 
 	early := 0
 	var got []*flows.Connection
-	d := flows.NewDemuxer(flows.DefaultOptions(), func(idx int, c *flows.Connection) {
+	d := flows.NewDemuxer(flows.Options{}, func(idx int, c *flows.Connection) {
 		got = append(got, c)
 	})
 	for _, tp := range pkts {
@@ -414,7 +414,7 @@ func TestEarlyEmitSharedBlocksByteIdentical(t *testing.T) {
 		pkts = append(pkts, tp)
 	}
 	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].Time < pkts[j].Time })
-	d := flows.NewDemuxer(flows.DefaultOptions(), func(int, *flows.Connection) {})
+	d := flows.NewDemuxer(flows.Options{}, func(int, *flows.Connection) {})
 	for _, tp := range pkts {
 		d.Add(tp)
 	}

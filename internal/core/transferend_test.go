@@ -45,7 +45,7 @@ func referenceEnd(cfg core.Config, c *flows.Connection, tr *core.TransferReport)
 	if len(ups) == 0 {
 		return mct.Result{}, false
 	}
-	return mct.FindEnd(ups, cfg.MCT)
+	return mct.FindEnd(ups, mct.Config{})
 }
 
 // endOutcome is everything the transfer-end path decides for one

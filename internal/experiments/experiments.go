@@ -11,7 +11,6 @@ import (
 	"io"
 
 	"tdat/internal/core"
-	"tdat/internal/factors"
 	"tdat/internal/flows"
 	"tdat/internal/mct"
 	"tdat/internal/mrt"
@@ -197,10 +196,4 @@ func (s *Suite) RV() *Dataset { return s.Datasets[2] }
 // header prints a boxed experiment title.
 func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n=== %s ===\n", title)
-}
-
-// dominantGroup returns the transfer's dominant factor group.
-func dominantGroup(a *AnalyzedTransfer) factors.Group {
-	g, _ := a.Report.Factors.Dominant()
-	return g
 }

@@ -8,7 +8,6 @@ import (
 	"tdat/internal/core"
 	"tdat/internal/detect"
 	"tdat/internal/factors"
-	"tdat/internal/series"
 	"tdat/internal/stats"
 	"tdat/internal/tracegen"
 )
@@ -342,9 +341,4 @@ func analyzeTrace(tr *tracegen.Trace) *core.TransferReport {
 		return nil
 	}
 	return rep.Transfers[0]
-}
-
-// seriesSizeSeconds is a helper used by the ZeroAckBug audit.
-func seriesSizeSeconds(t *AnalyzedTransfer, n series.Name) float64 {
-	return float64(t.Report.Catalog.Get(n).Size()) / 1e6
 }

@@ -129,7 +129,7 @@ func classifyLosses(c *Connection, opts Options) {
 					// Without IP ID continuity, fall back to arrival lag:
 					// reordering shows up within milliseconds, repairs take
 					// at least an RTO.
-					reordered = d.Time-opened <= opts.ReorderWindow
+					reordered = d.Time-opened <= reorderWindow
 				}
 			}
 			if reordered {
@@ -229,14 +229,15 @@ func scanSilentLoss(c *Connection) {
 	}
 }
 
-// Options tunes the classification heuristics; the zero value is usable and
-// DefaultOptions documents the defaults.
+// reorderWindow is the arrival slack within which a gap fill without IP ID
+// evidence is attributed to in-network reordering rather than loss
+// (Jaiswal et al. observe reordering lags of a few milliseconds; repairs
+// take at least an RTO): 2 ms.
+const reorderWindow Micros = 2_000
+
+// Options tunes the classification heuristics; the zero value selects the
+// defaults.
 type Options struct {
-	// ReorderWindow is the arrival slack within which a gap fill without IP
-	// ID evidence is attributed to in-network reordering rather than loss
-	// (Jaiswal et al. observe reordering lags of a few milliseconds;
-	// repairs take at least an RTO). Zero selects the 2 ms default.
-	ReorderWindow Micros
 	// DisableReorderFilter labels every gap fill as an upstream loss — the
 	// ablation the benchmarks sweep.
 	DisableReorderFilter bool
@@ -250,14 +251,4 @@ type Options struct {
 	// packets routed) and progress updates when non-nil. It never affects
 	// extraction output.
 	Obs *obs.Obs
-}
-
-// DefaultOptions returns the documented defaults.
-func DefaultOptions() Options { return Options{ReorderWindow: 2_000} }
-
-func (o Options) withDefaults() Options {
-	if o.ReorderWindow == 0 {
-		o.ReorderWindow = 2_000
-	}
-	return o
 }

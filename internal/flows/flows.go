@@ -329,7 +329,7 @@ func Extract(pkts []TimedPacket) []*Connection {
 		slices.SortStableFunc(pkts, byTime)
 	}
 	byIdx := map[int]*Connection{}
-	d := NewDemuxer(DefaultOptions(), func(idx int, c *Connection) { byIdx[idx] = c })
+	d := NewDemuxer(Options{}, func(idx int, c *Connection) { byIdx[idx] = c })
 	for _, tp := range pkts {
 		d.Add(tp)
 	}
@@ -414,15 +414,10 @@ type DemuxStats struct {
 	TimestampRegressions int64
 }
 
-// Degraded reports whether the run saw any damage worth surfacing.
-func (s DemuxStats) Degraded() bool {
-	return s.Evicted > 0 || s.Resumed > 0 || s.TimestampRegressions > 0
-}
-
 // NewDemuxer creates a Demuxer that emits completed connections via emit.
 func NewDemuxer(opts Options, emit func(index int, c *Connection)) *Demuxer {
 	d := &Demuxer{
-		opts:  opts.withDefaults(),
+		opts:  opts,
 		emit:  emit,
 		index: map[Key]*rawConn{},
 		pack:  new(bytepack.Packer),

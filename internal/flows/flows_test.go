@@ -413,17 +413,12 @@ func TestMaxTrackedEvictsOldest(t *testing.T) {
 		b.add(Micros(i)*1_000, ep, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
 		b.add(Micros(i)*1_000+100, ep, receiverEP, 1001, 1, packet.FlagACK, 65535, 200)
 	}
-	opts := DefaultOptions()
-	opts.MaxTracked = 2
-	conns, stats := extractOpts(b.pkts, opts)
+	conns, stats := extractOpts(b.pkts, Options{MaxTracked: 2})
 	if len(conns) != 6 {
 		t.Fatalf("extracted %d connections, want 6", len(conns))
 	}
 	if stats.Evicted < 4 {
 		t.Errorf("Evicted = %d, want >= 4 (cap 2, 6 concurrent)", stats.Evicted)
-	}
-	if !stats.Degraded() {
-		t.Error("stats not marked degraded despite evictions")
 	}
 }
 
@@ -432,9 +427,7 @@ func TestEvictedConnectionResumesAsPartial(t *testing.T) {
 	// open a fresh partial connection (and be counted as resumed), not be
 	// appended to the already-emitted one.
 	var emitted []*Connection
-	opts := DefaultOptions()
-	opts.MaxTracked = 1
-	d := NewDemuxer(opts, func(_ int, c *Connection) { emitted = append(emitted, c) })
+	d := NewDemuxer(Options{MaxTracked: 1}, func(_ int, c *Connection) { emitted = append(emitted, c) })
 	b := &builder{}
 	b.add(0, senderEP, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
 	b.add(100, senderEP, receiverEP, 1001, 1, packet.FlagACK, 65535, 300)
@@ -463,7 +456,7 @@ func TestEvictedConnectionResumesAsPartial(t *testing.T) {
 func TestTimestampRegressionCounted(t *testing.T) {
 	// A stepped sniffer clock: packet time going backwards within a
 	// connection is tolerated (analysis re-sorts) but tallied.
-	d := NewDemuxer(DefaultOptions(), func(int, *Connection) {})
+	d := NewDemuxer(Options{}, func(int, *Connection) {})
 	b := &builder{}
 	b.add(1_000_000, senderEP, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
 	b.add(500_000, senderEP, receiverEP, 1001, 1, packet.FlagACK, 65535, 100) // clock stepped back
@@ -472,7 +465,7 @@ func TestTimestampRegressionCounted(t *testing.T) {
 		d.Add(tp)
 	}
 	d.Finish()
-	if s := d.Stats(); s.TimestampRegressions != 1 || !s.Degraded() {
+	if s := d.Stats(); s.TimestampRegressions != 1 {
 		t.Errorf("stats = %+v, want exactly one timestamp regression", s)
 	}
 }
@@ -482,7 +475,7 @@ func TestDisorderedConnectionResorted(t *testing.T) {
 	// regression, and the connection's packets are re-sorted by time before
 	// analysis.
 	var got *Connection
-	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { got = c })
+	d := NewDemuxer(Options{}, func(_ int, c *Connection) { got = c })
 	b := &builder{}
 	b.handshake(1_000_000, 20_000, 1000, 5000, 1460)
 	b.add(1_200_000, senderEP, receiverEP, 1001, 5001, packet.FlagACK, 65535, 100)
@@ -532,7 +525,7 @@ func TestPayloadsShareBlocks(t *testing.T) {
 	}
 
 	var conns []*Connection
-	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { conns = append(conns, c) })
+	d := NewDemuxer(Options{}, func(_ int, c *Connection) { conns = append(conns, c) })
 	var reused packet.Packet
 	buf := make([]byte, 1500)
 	for _, tp := range b.pkts {
@@ -593,7 +586,7 @@ func TestUsePackerRefillsBlocks(t *testing.T) {
 	var p bytepack.Packer
 	demux := func() []DataEvent {
 		var c *Connection
-		d := NewDemuxer(DefaultOptions(), func(_ int, got *Connection) { c = got })
+		d := NewDemuxer(Options{}, func(_ int, got *Connection) { c = got })
 		d.UsePacker(&p)
 		for _, tp := range b.pkts {
 			d.Add(tp)

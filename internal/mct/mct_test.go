@@ -309,7 +309,7 @@ func TestFindEndKeysMatchesFindEnd(t *testing.T) {
 func refFromMRT(records []mrt.Record) []refUpdate {
 	var out []refUpdate
 	for _, r := range records {
-		m, err := r.Message()
+		m, err := bgp.Parse(r.Raw)
 		if err != nil {
 			continue
 		}

@@ -13,10 +13,10 @@ import (
 	"testing/iotest"
 )
 
-// nextAll is the reference ReadAll is held to: a loop over Next, whose
-// every Raw is a copy of its own.
+// nextAll is the reference ReadAll is held to: a loop over the streaming
+// refReader's Next, whose every Raw is a copy of its own.
 func nextAll(r io.Reader) ([]Record, error) {
-	rd := NewReader(r)
+	rd := newRefReader(r)
 	var out []Record
 	for {
 		rec, err := rd.Next()
@@ -117,7 +117,7 @@ func readerSeeds(tb testing.TB) [][]byte {
 }
 
 // FuzzReader throws arbitrary bytes at the MRT reader: ReadAll must never
-// panic and must agree with a loop over Next (see checkReadAll). CI runs
+// panic and must agree with the streaming reference (see checkReadAll). CI runs
 // it for a short smoke window; run locally with
 //
 //	go test -run='^$' -fuzz=FuzzReader -fuzztime=30s ./internal/mrt
@@ -187,7 +187,7 @@ func TestReadAllBlocks(t *testing.T) {
 // errRead is the error the failing readers of TestReadAllSources return.
 var errRead = errors.New("read failed")
 
-// TestReadAllSources holds ReadAll to the Next loop over the inputs it
+// TestReadAllSources holds ReadAll to the reference over the inputs it
 // reads differently from an in-memory reader: an *os.File, whose Stat
 // sizes the buffer; readers with neither Len nor Stat, read through the
 // growth path; and readers that return bytes and then fail with an error
@@ -235,12 +235,15 @@ func TestReadAllSources(t *testing.T) {
 	}
 }
 
-// TestNextRawOwned checks that Next's Raw is the caller's own: the next
-// read does not overwrite it.
+// TestNextRawOwned checks that the reference's Raw is the caller's own:
+// the next read does not overwrite it. checkReadAll compares ReadAll's
+// records with the reference's after it has appended to them, and a
+// reference whose records shared its scratch buffer would compare them all
+// with the last record read.
 func TestNextRawOwned(t *testing.T) {
 	a, b := sampleRecord(t, 1), sampleRecord(t, 2)
 	b.Raw[len(b.Raw)-1] ^= 0xFF
-	rd := NewReader(bytes.NewReader(archive(t, a, b)))
+	rd := newRefReader(bytes.NewReader(archive(t, a, b)))
 	first, err := rd.Next()
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,6 @@ import (
 	"io/fs"
 	"net/netip"
 	"slices"
-
-	"tdat/internal/bgp"
 )
 
 // MRT type and subtype codes (RFC 6396).
@@ -46,9 +44,6 @@ type Record struct {
 	// Raw is the full BGP message bytes (header included).
 	Raw []byte
 }
-
-// Message parses the wrapped BGP message.
-func (r *Record) Message() (bgp.Message, error) { return bgp.Parse(r.Raw) }
 
 // Writer appends MRT records to a stream using BGP4MP_ET (microsecond)
 // framing.
@@ -95,42 +90,18 @@ func (w *Writer) Write(rec Record) error {
 // Flush writes buffered records through to the underlying stream.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader reads MRT records. Records of types other than
+// reader decodes ReadAll's input. Records of types other than
 // BGP4MP/BGP4MP_ET + BGP4MP_MESSAGE are skipped.
-type Reader struct {
-	r *bufio.Reader // the stream; nil for ReadAll's in-memory input
-	// buf and err are ReadAll's input: the bytes not yet decoded, and the
-	// error other than io.EOF that ended them, if any.
+type reader struct {
+	// buf and err are the input: the bytes not yet decoded, and the error
+	// other than io.EOF that ended them, if any.
 	buf []byte
 	err error
-	// scratch holds the stream's last read, header or body. It lives on
-	// the Reader because a stack array passed to io.ReadFull escapes,
-	// costing one heap allocation per record; it keeps the largest record
-	// read so far.
-	scratch []byte
 }
 
-// NewReader creates a Reader.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
-
-// Next returns the next BGP4MP_MESSAGE record, or io.EOF at a clean end.
-// The record's Raw is a copy the caller owns.
-func (r *Reader) Next() (Record, error) {
-	var rec Record
-	err := r.next(&rec)
-	rec.Raw = append([]byte(nil), rec.Raw...)
-	return rec, err
-}
-
-// read returns the next n bytes of the input: from the stream, read into
-// the scratch buffer; from ReadAll's input, a view of it. Short of n bytes
-// it returns the error io.ReadFull would, so both inputs fail alike.
-func (r *Reader) read(n int) ([]byte, error) {
-	if r.r != nil {
-		r.scratch = slices.Grow(r.scratch[:0], n)[:n]
-		_, err := io.ReadFull(r.r, r.scratch)
-		return r.scratch, err
-	}
+// read returns a view of the next n bytes of the input. Short of n bytes
+// it returns the error io.ReadFull would on a stream of the same bytes.
+func (r *reader) read(n int) ([]byte, error) {
 	if n <= len(r.buf) {
 		b := r.buf[:n]
 		r.buf = r.buf[n:]
@@ -147,9 +118,10 @@ func (r *Reader) read(n int) ([]byte, error) {
 	return nil, io.EOF
 }
 
-// next is Next into rec, with rec.Raw a view of the input's bytes, valid
-// until the next read. On error rec is left as it was.
-func (r *Reader) next(rec *Record) error {
+// next decodes the next BGP4MP_MESSAGE record into rec, with rec.Raw a
+// view of the input's bytes, or returns io.EOF at a clean end. On error rec
+// is left as it was.
+func (r *reader) next(rec *Record) error {
 	for {
 		hdr, err := r.read(12)
 		if err != nil {
@@ -213,7 +185,7 @@ func readErr(part string, err error) error {
 const minRead = 64 << 10
 
 // ReadAll drains the reader. It returns the records read before a failure
-// together with the error, as a loop over Next would. The input is read
+// together with the error. The input is read
 // once, into one buffer sized from the reader's Len or, for a regular
 // file, its Stat, and decoded twice: once to count the records and their
 // message bytes, then to copy those bytes into one block of exactly that
@@ -222,7 +194,7 @@ const minRead = 64 << 10
 // only their own message bytes alive, never the MRT headers or the
 // records skipped. The result is allocated once, at exact size.
 func ReadAll(r io.Reader) ([]Record, error) {
-	rd := Reader{}
+	rd := reader{}
 	rd.buf, rd.err = readInput(r)
 	input := rd.buf
 	var (
@@ -251,7 +223,7 @@ func ReadAll(r io.Reader) ([]Record, error) {
 			block = append(block, raw...)
 			recs[i].Raw = block[len(block)-len(raw) : len(block) : len(block)]
 		} else {
-			recs[i].Raw = nil // as Next returns it
+			recs[i].Raw = nil // not an empty view of the block
 		}
 	}
 	return recs, err

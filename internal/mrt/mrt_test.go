@@ -69,18 +69,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordMessage(t *testing.T) {
-	rec := sampleRecord(t, 1_000_000)
-	m, err := rec.Message()
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, ok := m.(*bgp.Update)
-	if !ok || len(u.NLRI) != 1 {
-		t.Errorf("message = %T %+v", m, m)
-	}
-}
-
 func TestReaderSkipsUnknownTypes(t *testing.T) {
 	var buf bytes.Buffer
 	// Unknown record: type 99, 4-byte body.

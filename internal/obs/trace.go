@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 )
@@ -48,9 +46,8 @@ func MetaEvent(name string, pid, tid int64, label string) TraceEvent {
 	}
 }
 
-// SpanSchemaVersion is the span-log JSONL schema version. Version 2 added
-// the explicit "v" field itself; the v1 records (no "v" key) carry the same
-// remaining fields, so ConvertSpanLog reads both.
+// SpanSchemaVersion is the span-log JSONL schema version, written as each
+// record's "v" field.
 const SpanSchemaVersion = 2
 
 // SpanRecord is one span-log line: a pipeline-stage execution with its
@@ -145,30 +142,4 @@ func SpanTraceEvents(spans []SpanRecord, pid int64) []TraceEvent {
 		out = append(out, ev)
 	}
 	return out
-}
-
-// ConvertSpanLog reads a span-log JSONL stream (schema v1 or v2) and writes
-// the equivalent catapult JSON trace — the offline path to a Perfetto view
-// of a run whose spans were logged but not retained.
-func ConvertSpanLog(r io.Reader, w io.Writer) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var spans []SpanRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Bytes()
-		if len(text) == 0 {
-			continue
-		}
-		var rec SpanRecord
-		if err := json.Unmarshal(text, &rec); err != nil {
-			return fmt.Errorf("span log line %d: %v", line, err)
-		}
-		spans = append(spans, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return WriteTrace(w, SpanTraceEvents(spans, 1))
 }

@@ -112,38 +112,9 @@ func TestKeepSpansRetention(t *testing.T) {
 	}
 }
 
-func TestConvertSpanLog(t *testing.T) {
-	// v2 line (with "v") and a v1 line (without) in one log.
-	log := `{"v":2,"stage":"series","conn":"a->b","start_us":10,"dur_us":5,"bytes":100,"packets":3}
-{"stage":"decode","conn":"","start_us":0,"dur_us":2,"bytes":0,"packets":0}
-`
-	var buf bytes.Buffer
-	if err := ConvertSpanLog(strings.NewReader(log), &buf); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeTrace(t, buf.Bytes())
-	requireSchema(t, events)
-	spans := 0
-	for _, ev := range events {
-		if ev["ph"] == "X" {
-			spans++
-		}
-	}
-	if spans != 2 {
-		t.Errorf("converted %d spans, want 2", spans)
-	}
-}
-
-func TestConvertSpanLogBadLine(t *testing.T) {
-	err := ConvertSpanLog(strings.NewReader("not json\n"), &bytes.Buffer{})
-	if err == nil {
-		t.Fatal("bad span log accepted")
-	}
-}
-
 func TestSpanLogRoundTrip(t *testing.T) {
-	// The JSONL EndN writes must parse back into the same record shape the
-	// converter consumes.
+	// The JSONL EndN writes must parse back into the record shape
+	// SpanRecord declares.
 	o := New()
 	var log bytes.Buffer
 	o.SetSpanLog(&log)

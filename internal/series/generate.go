@@ -120,7 +120,7 @@ func (c *Catalog) extract() {
 	large := timerange.NewSet()
 	mid := timerange.NewSet()
 	smallCut := c.cfg.SmallWindowMSS * mss
-	largeCut := c.conn.Profile.MaxAdvWindow - c.cfg.LargeWindowMarginMSS*mss
+	largeCut := c.conn.Profile.MaxAdvWindow - largeWindowMarginMSS*mss
 	if largeCut < smallCut {
 		largeCut = smallCut
 	}
@@ -216,7 +216,7 @@ func (c *Catalog) extract() {
 	ka := timerange.NewSet()
 	runStart := -1
 	for i := range data {
-		if data[i].Len <= c.cfg.KeepalivePayloadMax {
+		if data[i].Len <= keepalivePayloadMax {
 			if runStart < 0 {
 				runStart = i
 			}
@@ -242,7 +242,7 @@ func (c *Catalog) extract() {
 // track each packet's wire size: draining a bottleneck queue at R bytes/sec
 // spaces a packet wirelen/R behind its predecessor, small packets close
 // behind big ones — an application timer releases on the clock regardless
-// of size. Runs of ≥ BandwidthRunLen packets matching that proportionality
+// of size. Runs of ≥ bandwidthRunLen packets matching that proportionality
 // and spanning at least one RTT are bandwidth-limited. The proportionality
 // anchor is local (each gap against the drain rate the previous gap
 // implied), so a bottleneck whose rate varies over the transfer — a policer
@@ -312,7 +312,7 @@ func (c *Catalog) detectBandwidth() *timerange.Set {
 	runDry := 0          // packets with nothing outstanding beyond themselves
 	flush := func(end int) {
 		defer func() { runStart = -1; runSmall = false; runWire = 0; runDry = 0 }()
-		if runStart < 0 || end-runStart+1 < c.cfg.BandwidthRunLen {
+		if runStart < 0 || end-runStart+1 < bandwidthRunLen {
 			return
 		}
 		r := timerange.R(data[runStart].Time, data[end].Time+1)
@@ -420,7 +420,7 @@ func (c *Catalog) detectBandwidth() *timerange.Set {
 			Score:  float64(bw.Size()),
 			Inputs: bwInputs(),
 			Thresholds: []explain.KV{
-				{K: "min_run_packets", V: float64(c.cfg.BandwidthRunLen)},
+				{K: "min_run_packets", V: bandwidthRunLen},
 				{K: "min_run_rtts", V: 1},
 			},
 			Intervals: []explain.IntervalSet{explain.Capture("BandwidthLimited", bw)},
@@ -477,10 +477,7 @@ func windowBound(f *Flight, slackB int, rtt Micros) bool {
 func (c *Catalog) operate() {
 	data := c.conn.Data
 	mss := c.mss()
-	immediate := c.cfg.ImmediateACK
-	if immediate == 0 {
-		immediate = maxMicros(2_000, c.rtt()/8)
-	}
+	immediate := maxMicros(immediateACKFloor, c.rtt()/immediateACKRTTDiv)
 
 	// Send-application-limited (paper: "the idle period between the moment
 	// the sender receives the ACKs and sends the following data packets").
@@ -489,7 +486,7 @@ func (c *Catalog) operate() {
 	// followed f's completion ACK immediately (ACK clocking), or the gap is
 	// loss recovery.
 	appLim := timerange.NewSet()
-	slackB := c.cfg.WindowSlackMSS * mss
+	slackB := windowSlackMSS * mss
 	if len(data) > 0 {
 		// Pre-first-data idle: OPEN/route-generation processing after the
 		// TCP handshake is sender-application time.
@@ -497,7 +494,7 @@ func (c *Catalog) operate() {
 		if pre == 0 {
 			pre = c.conn.Profile.Start
 		}
-		if data[0].Time-pre > c.cfg.AppIdleThreshold {
+		if data[0].Time-pre > appIdleThreshold {
 			appLim.Add(timerange.R(pre, data[0].Time))
 		}
 	}
@@ -537,7 +534,7 @@ func (c *Catalog) operate() {
 			}
 			oi++
 		}
-		if g.First-f.Last <= c.cfg.AppIdleThreshold {
+		if g.First-f.Last <= appIdleThreshold {
 			continue
 		}
 		if windowBound(f, slackB, c.rtt()) {
@@ -581,7 +578,7 @@ func (c *Catalog) operate() {
 		if f.MaxOut+mss > f.WinMin && f.AckTime > start && f.AckTime < g.First {
 			start = f.AckTime
 		}
-		if g.First-start > c.cfg.AppIdleThreshold {
+		if g.First-start > appIdleThreshold {
 			appLim.Add(timerange.R(start, g.First))
 		}
 	}
@@ -608,7 +605,7 @@ func (c *Catalog) operate() {
 				{K: "excluded_zero_window_us", V: float64(appLim.Intersect(c.Get(ZeroAdvWindow)).Size())},
 				{K: "excluded_bandwidth_us", V: float64(appLim.Intersect(c.Get(BandwidthLimited)).Size())},
 			},
-			Thresholds: []explain.KV{{K: "app_idle_threshold_us", V: float64(c.cfg.AppIdleThreshold)}},
+			Thresholds: []explain.KV{{K: "app_idle_threshold_us", V: float64(appIdleThreshold)}},
 			Intervals:  []explain.IntervalSet{explain.Capture("SendAppLimited", appFinal)},
 			Detail:     "inter-flight idle minus loss-recovery, zero-window, and bandwidth-drain exclusions",
 		})
@@ -619,7 +616,7 @@ func (c *Catalog) operate() {
 	// segments, while an application-limited one flushes a sub-MSS tail.
 	adv := timerange.NewSet()
 	cwnd := timerange.NewSet()
-	slack := c.cfg.WindowSlackMSS * mss
+	slack := windowSlackMSS * mss
 	rtt := c.rtt()
 	// Loss-depressed congestion windows are the loss's cost, not the
 	// sender's choice: after a drop Reno halves (or, on RTO, restarts) the

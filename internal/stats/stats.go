@@ -84,19 +84,6 @@ func CDF(xs []float64) []CDFPoint {
 	return out
 }
 
-// CDFAt evaluates an empirical CDF at value x (fraction of samples ≤ x).
-func CDFAt(points []CDFPoint, x float64) float64 {
-	p := 0.0
-	for _, pt := range points {
-		if pt.X <= x {
-			p = pt.P
-		} else {
-			break
-		}
-	}
-	return p
-}
-
 // StretchRatio returns the longest duration divided by the shortest
 // (paper §II-B). It returns 0 when fewer than two samples exist or the
 // shortest is non-positive.

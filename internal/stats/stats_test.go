@@ -80,21 +80,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	pts := CDF([]float64{1, 2, 3, 4})
-	tests := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {99, 1},
-	}
-	for _, tt := range tests {
-		if got := CDFAt(pts, tt.x); !almost(got, tt.want) {
-			t.Errorf("CDFAt(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-}
-
 func TestCDFMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))

@@ -71,8 +71,8 @@ func (e *Endpoint) trySend() {
 	// below that the sender either cannot emit a full segment or ends up in
 	// the Nagle/silly-window interlock where its sub-MSS tail waits on a
 	// window update the receiver is withholding until its buffer drains.
-	// Three segments of slack matches the analyzer's window-fill test
-	// (series.Config.WindowSlackMSS) — shared as the *definition* of a
+	// Three segments of slack matches the analyzer's window-fill test (the
+	// series package's windowSlackMSS) — shared as the *definition* of a
 	// filled window, while the states compared remain independent (endpoint
 	// internals here, flight structure inferred from the wire there).
 	if e.probe != nil {

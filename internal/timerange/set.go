@@ -23,20 +23,6 @@ func NewSet(ranges ...Range) *Set {
 	return s
 }
 
-// FromSorted builds a Set from ranges already known to be sorted, disjoint,
-// non-adjacent, and non-empty. It validates in debug fashion: invalid input
-// falls back to the normalizing path.
-func FromSorted(ranges []Range) *Set {
-	for i, r := range ranges {
-		if r.Empty() || (i > 0 && ranges[i-1].End >= r.Start) {
-			return NewSet(ranges...)
-		}
-	}
-	s := &Set{ranges: make([]Range, len(ranges))}
-	copy(s.ranges, ranges)
-	return s
-}
-
 // Len returns the number of disjoint ranges in the set.
 func (s *Set) Len() int { return len(s.ranges) }
 

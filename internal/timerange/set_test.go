@@ -266,24 +266,6 @@ func TestSetBounds(t *testing.T) {
 	}
 }
 
-func TestFromSorted(t *testing.T) {
-	// Valid pre-sorted input is preserved as-is.
-	s := FromSorted([]Range{R(0, 2), R(5, 9)})
-	if !s.Equal(NewSet(R(0, 2), R(5, 9))) {
-		t.Errorf("FromSorted valid = %v", s)
-	}
-	// Invalid input (overlap) is normalized instead of corrupting the set.
-	s = FromSorted([]Range{R(0, 6), R(5, 9)})
-	if !s.Equal(NewSet(R(0, 9))) {
-		t.Errorf("FromSorted overlapping = %v, want {[0,9)}", s)
-	}
-	// Adjacent input coalesces.
-	s = FromSorted([]Range{R(0, 5), R(5, 9)})
-	if !s.Equal(NewSet(R(0, 9))) {
-		t.Errorf("FromSorted adjacent = %v, want {[0,9)}", s)
-	}
-}
-
 // randomSet builds a set from up to n random small ranges.
 func randomSet(rnd *rand.Rand, n int) *Set {
 	s := &Set{}
