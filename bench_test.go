@@ -21,6 +21,7 @@ import (
 	"tdat/internal/experiments"
 	"tdat/internal/factors"
 	"tdat/internal/flows"
+	"tdat/internal/netem"
 	"tdat/internal/obs"
 	"tdat/internal/pcapio"
 	"tdat/internal/series"
@@ -450,20 +451,65 @@ func BenchmarkAblationWindowThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReorderFilter toggles the Jaiswal reordering filter.
-func BenchmarkAblationReorderFilter(b *testing.B) {
+// reorderedLossyTransfer is the reordering ablation's input: an
+// upstream-lossy transfer in which five pairs of back-to-back new data
+// segments, spread over the capture, swap arrival times and keep their IP
+// IDs, as in-network reordering leaves them. It returns the capture and
+// the number of swapped pairs.
+func reorderedLossyTransfer() ([]flows.TimedPacket, int) {
 	tr := tracegen.Run(tracegen.Scenario{Kind: tracegen.KindUpstreamLoss, Seed: 5042, Routes: 12_000, LossRate: 0.05})
 	pkts := tr.Packets()
+	const pairs = 5
+	spacing := len(pkts) / (pairs + 1)
+	swapped := 0
+	for i := spacing; i+1 < len(pkts) && swapped < pairs; i++ {
+		a, b := tr.Captures[i], tr.Captures[i+1]
+		if a.Dir != netem.DirData || b.Dir != netem.DirData || a.Pkt.PayloadLen() == 0 ||
+			b.Pkt.TCP.Seq != a.Pkt.TCP.Seq+uint32(a.Pkt.PayloadLen()) {
+			continue
+		}
+		pkts[i].Pkt, pkts[i+1].Pkt = b.Pkt, a.Pkt
+		swapped++
+		i += spacing
+	}
+	return pkts, swapped
+}
+
+// reorderAblation analyzes pkts with the reordering filter on or off and
+// returns the transfer's gap-fill and reordered segment counts and its
+// network-loss ratio.
+func reorderAblation(pkts []flows.TimedPacket, filter bool) (gapFills, reordered int, netLoss float64) {
+	cfg := core.Config{}
+	cfg.Flows.DisableReorderFilter = !filter
+	t := core.New(cfg).AnalyzePackets(pkts).Transfers[0]
+	return t.Conn.Profile.GapFillCount, t.Conn.Profile.ReorderCount, t.Factors.V.At(factors.NetLoss)
+}
+
+// TestReorderAblationShowsFilter: on the ablation's input, the filter
+// counts every swapped segment as reordered, and without the filter each
+// is one more gap fill.
+func TestReorderAblationShowsFilter(t *testing.T) {
+	pkts, swapped := reorderedLossyTransfer()
+	if swapped != 5 {
+		t.Fatalf("swapped %d pairs, want 5", swapped)
+	}
+	onFills, onReordered, _ := reorderAblation(pkts, true)
+	offFills, offReordered, _ := reorderAblation(pkts, false)
+	if onReordered != swapped || offReordered != 0 || offFills != onFills+swapped {
+		t.Errorf("filter on: %d gap fills, %d reordered; off: %d gap fills, %d reordered; want %d reordered moving to gap fills",
+			onFills, onReordered, offFills, offReordered, swapped)
+	}
+}
+
+// BenchmarkAblationReorderFilter toggles the Jaiswal reordering filter.
+func BenchmarkAblationReorderFilter(b *testing.B) {
+	pkts, _ := reorderedLossyTransfer()
 	printOnce("ablation-reorder", func(w io.Writer) {
-		fmt.Fprintf(w, "\n=== Ablation: reordering filter (upstream-lossy transfer) ===\n")
-		for _, disable := range []bool{false, true} {
-			cfg := core.Config{}
-			cfg.Flows.DisableReorderFilter = disable
-			rep := core.New(cfg).AnalyzePackets(pkts)
-			t := rep.Transfers[0]
+		fmt.Fprintf(w, "\n=== Ablation: reordering filter (upstream-lossy transfer, five reordered pairs) ===\n")
+		for _, filter := range []bool{true, false} {
+			gapFills, reordered, netLoss := reorderAblation(pkts, filter)
 			fmt.Fprintf(w, "filter=%-5v gapFills=%d reordered=%d netLossRatio=%.2f\n",
-				!disable, t.Conn.Profile.GapFillCount, t.Conn.Profile.ReorderCount,
-				t.Factors.V.At(factors.NetLoss))
+				filter, gapFills, reordered, netLoss)
 		}
 	})
 	analyzer := core.New(core.Config{})

@@ -12,18 +12,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
-	"net/netip"
 	"os"
 	"path/filepath"
-
 	"strconv"
 	"strings"
 
 	"tdat/internal/mrt"
 	"tdat/internal/netem"
 	"tdat/internal/obs"
-	"tdat/internal/pcapio"
 	"tdat/internal/tcpsim"
 	"tdat/internal/tracegen"
 )
@@ -49,64 +47,55 @@ func parseGE(s string) (*netem.GEParams, error) {
 	return &netem.GEParams{PGoodBad: vals[0], PBadGood: vals[1], DropBad: vals[2]}, nil
 }
 
-var kinds = map[string]tracegen.Kind{
-	"clean":           tracegen.KindClean,
-	"paced":           tracegen.KindPaced,
-	"slow-receiver":   tracegen.KindSlowReceiver,
-	"small-window":    tracegen.KindSmallWindow,
-	"upstream-loss":   tracegen.KindUpstreamLoss,
-	"downstream-loss": tracegen.KindDownstreamLoss,
-	"bandwidth":       tracegen.KindBandwidth,
-	"zero-ack-bug":    tracegen.KindZeroAckBug,
-	"heavy-tail-app":  tracegen.KindHeavyTailApp,
-	"bimodal-app":     tracegen.KindBimodalApp,
-	"varying-rate":    tracegen.KindVaryingRate,
-	"fanout":          tracegen.KindFanout,
-}
-
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is main with its dependencies injected, so the golden tests drive it
+// in-process with buffers for stdout and stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataset  = flag.String("dataset", "", "write a whole dataset: ispa-vendor|ispa-quagga|routeviews")
-		n        = flag.Int("n", 20, "transfers in the dataset (-dataset mode)")
-		outdir   = flag.String("outdir", "traces", "output directory (-dataset mode)")
-		kind     = flag.String("kind", "clean", "scenario kind: clean|paced|slow-receiver|small-window|upstream-loss|downstream-loss|bandwidth|zero-ack-bug|heavy-tail-app|bimodal-app|varying-rate|fanout")
-		routes   = flag.Int("routes", 12_000, "routing table size")
-		seed     = flag.Int64("seed", 1, "random seed")
-		rtt      = flag.Int64("rtt", 8_000, "round-trip propagation in microseconds")
-		out      = flag.String("o", "transfer.pcap", "output pcap file")
-		mrtOut   = flag.String("mrt", "", "also write the collector MRT archive here")
-		timer    = flag.Int64("timer", 200_000, "pacing timer (paced kind), microseconds")
-		budget   = flag.Int("budget", 24, "updates per pacing tick (paced kind)")
-		rate     = flag.Int64("rate", 0, "collector processing or link rate override, bytes/sec")
-		recvbuf  = flag.Int("recvbuf", 0, "collector receive buffer override, bytes")
-		stack    = flag.String("stack", "reno", "sender stack: reno|cubic|rate-paced|sack|stretch-ack|wscale-bug")
-		lossRate = flag.Float64("loss", 0, "drop probability override for the loss kinds")
-		profile  = flag.String("rate-profile", "", "varying-rate capacity shape: step|sawtooth")
-		rateLow  = flag.Int64("rate-low", 0, "varying-rate trough capacity, bytes/sec")
-		ratePer  = flag.Int64("rate-period", 0, "varying-rate profile period, microseconds")
-		burst    = flag.String("burst-loss", "", "Gilbert-Elliott burst loss for the loss kinds as pGoodBad,pBadGood,dropBad (e.g. 0.05,0.25,0.9)")
-		members  = flag.Int("members", 0, "fanout peer-group size")
-		slack    = flag.Int("slack", 0, "fanout peer-group slack bound, updates")
-		slowMem  = flag.Int("slow-members", 0, "fanout members running throttled collectors")
-		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
+		dataset  = fs.String("dataset", "", "write a whole dataset: ispa-vendor|ispa-quagga|routeviews")
+		n        = fs.Int("n", 20, "transfers in the dataset (-dataset mode)")
+		outdir   = fs.String("outdir", "traces", "output directory (-dataset mode)")
+		kind     = fs.String("kind", "clean", "scenario kind: clean|paced|slow-receiver|small-window|upstream-loss|downstream-loss|bandwidth|zero-ack-bug|heavy-tail-app|bimodal-app|varying-rate|fanout")
+		routes   = fs.Int("routes", 12_000, "routing table size")
+		seed     = fs.Int64("seed", 1, "random seed")
+		rtt      = fs.Int64("rtt", 8_000, "round-trip propagation in microseconds")
+		out      = fs.String("o", "transfer.pcap", "output pcap file")
+		mrtOut   = fs.String("mrt", "", "also write the collector MRT archive here")
+		timer    = fs.Int64("timer", 200_000, "pacing timer (paced kind), microseconds")
+		budget   = fs.Int("budget", 24, "updates per pacing tick (paced kind)")
+		rate     = fs.Int64("rate", 0, "collector processing or link rate override, bytes/sec")
+		recvbuf  = fs.Int("recvbuf", 0, "collector receive buffer override, bytes")
+		stack    = fs.String("stack", "reno", "sender stack: reno|cubic|rate-paced|sack|stretch-ack|wscale-bug")
+		lossRate = fs.Float64("loss", 0, "drop probability override for the loss kinds")
+		profile  = fs.String("rate-profile", "", "varying-rate capacity shape: step|sawtooth")
+		rateLow  = fs.Int64("rate-low", 0, "varying-rate trough capacity, bytes/sec")
+		ratePer  = fs.Int64("rate-period", 0, "varying-rate profile period, microseconds")
+		burst    = fs.String("burst-loss", "", "Gilbert-Elliott burst loss for the loss kinds as pGoodBad,pBadGood,dropBad (e.g. 0.05,0.25,0.9)")
+		members  = fs.Int("members", 0, "fanout peer-group size")
+		slack    = fs.Int("slack", 0, "fanout peer-group slack bound, updates")
+		slowMem  = fs.Int("slow-members", 0, "fanout members running throttled collectors")
+		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	)
-	flag.Parse()
-	if err := obs.InitLogging(os.Stderr, *logLevel); err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := obs.InitLogging(stderr, *logLevel); err != nil {
+		fmt.Fprintf(stderr, "tracegen: %v\n", err)
 		return 2
 	}
 
 	if *dataset != "" {
-		return writeDataset(*dataset, *n, *seed, *outdir)
+		return writeDataset(stdout, *dataset, *n, *seed, *outdir)
 	}
 
-	k, ok := kinds[*kind]
-	if !ok {
-		slog.Error("unknown kind", "kind", *kind)
+	k, err := tracegen.ParseKind(*kind)
+	if err != nil {
+		slog.Error("unknown kind", "err", err)
 		return 2
 	}
 	st, err := tcpsim.ParseStack(*stack)
@@ -137,75 +126,37 @@ func run() int {
 		sc.BurstLoss = ge
 	}
 	tr := tracegen.Run(sc)
-	fmt.Printf("scenario %s: %d captures, %d routes delivered, ground duration %.2fs\n",
+	fmt.Fprintf(stdout, "scenario %s: %d captures, %d routes delivered, ground duration %.2fs\n",
 		k, len(tr.Captures), tr.RoutesDelivered, float64(tr.GroundDuration)/1e6)
 
-	pf, err := os.Create(*out)
-	if err != nil {
+	if err := writeFile(*out, tr.WritePcap); err != nil {
 		slog.Error("writing output", "err", err)
 		return 1
 	}
-	defer pf.Close()
-	pw := pcapio.NewWriter(pf)
-	for _, c := range tr.Captures {
-		frame, err := c.Pkt.Marshal()
-		if err != nil {
-			slog.Error("marshaling packet", "err", err)
-			return 1
-		}
-		if err := pw.WritePacket(c.Time, frame); err != nil {
-			slog.Error("writing output", "err", err)
-			return 1
-		}
-	}
-	if err := pw.Flush(); err != nil {
-		slog.Error("writing output", "err", err)
-		return 1
-	}
-	fmt.Printf("wrote %s\n", *out)
+	fmt.Fprintf(stdout, "wrote %s\n", *out)
 
 	if *mrtOut != "" {
-		mf, err := os.Create(*mrtOut)
+		err := writeFile(*mrtOut, func(w io.Writer) error {
+			mw := mrt.NewWriter(w)
+			if err := tr.WriteMRT(mw); err != nil {
+				return err
+			}
+			return mw.Flush()
+		})
 		if err != nil {
 			slog.Error("writing output", "err", err)
 			return 1
 		}
-		defer mf.Close()
-		// Router/collector addresses from the capture itself.
-		peer := netip.MustParseAddr("10.0.0.1")
-		local := netip.MustParseAddr("10.0.0.2")
-		if len(tr.Captures) > 0 {
-			peer = tr.Captures[0].Pkt.IP.Src
-			local = tr.Captures[0].Pkt.IP.Dst
-		}
-		mw := mrt.NewWriter(mf)
-		for _, e := range tr.Archive {
-			rec := mrt.Record{
-				TimeMicros: e.Time,
-				PeerAS:     e.PeerAS,
-				LocalAS:    65000,
-				PeerIP:     peer,
-				LocalIP:    local,
-				Raw:        e.Raw,
-			}
-			if err := mw.Write(rec); err != nil {
-				slog.Error("writing output", "err", err)
-				return 1
-			}
-		}
-		if err := mw.Flush(); err != nil {
-			slog.Error("writing output", "err", err)
-			return 1
-		}
-		fmt.Printf("wrote %s (%d records)\n", *mrtOut, len(tr.Archive))
+		fmt.Fprintf(stdout, "wrote %s (%d records)\n", *mrtOut, len(tr.Archive))
 	}
 	return 0
 }
 
 // writeDataset generates a whole profile's worth of transfers as numbered
 // pcap files (plus one merged MRT archive), mimicking a collection
-// deployment's output directory.
-func writeDataset(name string, n int, seed int64, dir string) int {
+// deployment's output directory. It holds one transfer in memory at a
+// time.
+func writeDataset(stdout io.Writer, name string, n int, seed int64, dir string) int {
 	var profile tracegen.DatasetProfile
 	switch name {
 	case "ispa-vendor":
@@ -222,60 +173,40 @@ func writeDataset(name string, n int, seed int64, dir string) int {
 		slog.Error("writing output", "err", err)
 		return 1
 	}
-	mf, err := os.Create(filepath.Join(dir, "archive.mrt"))
+	err := writeFile(filepath.Join(dir, "archive.mrt"), func(w io.Writer) error {
+		mw := mrt.NewWriter(w)
+		for _, pk := range profile.Picks() {
+			tr := tracegen.RunWithProfile(pk.Scenario, profile)
+			pcap := filepath.Join(dir, fmt.Sprintf("transfer-%03d-%s.pcap", pk.Index, tr.Kind))
+			if err := writeFile(pcap, tr.WritePcap); err != nil {
+				return err
+			}
+			if err := tr.WriteMRT(mw); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s (%d packets, %s, router %d)\n",
+				pcap, len(tr.Captures), tr.Kind, pk.Router.ID)
+		}
+		return mw.Flush()
+	})
 	if err != nil {
 		slog.Error("writing output", "err", err)
 		return 1
 	}
-	defer mf.Close()
-	mw := mrt.NewWriter(mf)
-
-	failed := false
-	profile.Generate(func(t tracegen.Transfer) {
-		name := filepath.Join(dir, fmt.Sprintf("transfer-%03d-%s.pcap", t.Index, t.Trace.Kind))
-		pf, err := os.Create(name)
-		if err != nil {
-			slog.Error("writing output", "err", err)
-			failed = true
-			return
-		}
-		defer pf.Close()
-		pw := pcapio.NewWriter(pf)
-		for _, c := range t.Trace.Captures {
-			frame, err := c.Pkt.Marshal()
-			if err != nil {
-				failed = true
-				return
-			}
-			if err := pw.WritePacket(c.Time, frame); err != nil {
-				failed = true
-				return
-			}
-		}
-		if err := pw.Flush(); err != nil {
-			failed = true
-			return
-		}
-		for _, e := range t.Trace.Archive {
-			_ = mw.Write(mrt.Record{
-				TimeMicros: e.Time,
-				PeerAS:     e.PeerAS,
-				LocalAS:    65000,
-				PeerIP:     netip.MustParseAddr("10.0.0.1"),
-				LocalIP:    netip.MustParseAddr("10.0.0.2"),
-				Raw:        e.Raw,
-			})
-		}
-		fmt.Printf("wrote %s (%d packets, %s, router %d)\n",
-			name, len(t.Trace.Captures), t.Trace.Kind, t.Router.ID)
-	})
-	if err := mw.Flush(); err != nil {
-		slog.Error("writing output", "err", err)
-		return 1
-	}
-	if failed {
-		return 1
-	}
-	fmt.Printf("dataset %s: %d transfers under %s\n", profile.Name, n, dir)
+	fmt.Fprintf(stdout, "dataset %s: %d transfers under %s\n", profile.Name, n, dir)
 	return 0
+}
+
+// writeFile creates path, fills it with write, and closes it, reporting
+// the first error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

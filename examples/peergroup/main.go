@@ -23,7 +23,7 @@ import (
 func main() {
 	// Kill the vendor collector 1 s into the transfer; the router's hold
 	// timer is 180 s (the ISP_A default).
-	pg := tracegen.RunPeerGroup(7, 20_000, 1_000_000, 180_000_000)
+	pg := tracegen.RunPeerGroup(7, 2, 20_000, 1_000_000, 180_000_000)
 	fmt.Printf("ground truth: member failed at t1=%.1fs, removed from the group at t2=%.1fs\n",
 		float64(pg.KillAt)/1e6, float64(pg.HoldExpiry)/1e6)
 	fmt.Printf("healthy collector received %d routes (ground duration %.1fs)\n\n",

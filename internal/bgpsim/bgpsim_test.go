@@ -1,12 +1,10 @@
 package bgpsim
 
 import (
-	"bytes"
 	"net/netip"
 	"testing"
 
 	"tdat/internal/bgp"
-	"tdat/internal/mrt"
 	"tdat/internal/netem"
 	"tdat/internal/sim"
 )
@@ -287,51 +285,6 @@ func TestPeerGroupNoBlockingWhenHealthy(t *testing.T) {
 	eng.Run(120_000_000)
 	if countPrefixes(t, csA.Archive()) != len(table) || countPrefixes(t, csB.Archive()) != len(table) {
 		t.Error("group transfer incomplete for a healthy pair")
-	}
-}
-
-func TestWriteMRTArchive(t *testing.T) {
-	table := makeTable(100)
-	eng := sim.New(0, 10)
-	conn := Dial(eng, spec(), 7018)
-	speaker := NewSpeaker(eng, SpeakerConfig{AS: 7018})
-	speaker.Table = table
-	speaker.AddSession(conn.RouterPeer, nil)
-	host := NewCollectorHost(eng, CollectorConfig{})
-	host.AddSession(conn.CollectorPeer, 7018)
-	eng.Run(60_000_000)
-
-	var buf bytes.Buffer
-	if err := host.WriteMRT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := mrt.ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("empty MRT archive")
-	}
-	prefixes := 0
-	for _, r := range recs {
-		m, err := bgp.Parse(r.Raw)
-		if err != nil {
-			t.Fatalf("MRT message: %v", err)
-		}
-		if u, ok := m.(*bgp.Update); ok {
-			prefixes += len(u.NLRI)
-		}
-		if r.PeerIP != netip.MustParseAddr("10.0.0.1") {
-			t.Errorf("peer IP = %v", r.PeerIP)
-		}
-	}
-	if prefixes != len(table) {
-		t.Errorf("MRT prefixes = %d, want %d", prefixes, len(table))
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].TimeMicros < recs[i-1].TimeMicros {
-			t.Fatal("MRT records out of time order")
-		}
 	}
 }
 

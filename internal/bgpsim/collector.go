@@ -1,11 +1,7 @@
 package bgpsim
 
 import (
-	"io"
-	"sort"
-
 	"tdat/internal/bgp"
-	"tdat/internal/mrt"
 	"tdat/internal/sim"
 )
 
@@ -164,35 +160,4 @@ func (s *CollectorSession) consume(n int) int {
 	data := ep.Read(n)
 	s.peer.Feed(data)
 	return len(data)
-}
-
-// WriteMRT serializes the archive of all sessions (merged in time order) to
-// an MRT stream, as the Quagga collector would.
-func (h *CollectorHost) WriteMRT(w io.Writer) error {
-	type keyed struct {
-		e *ArchiveEntry
-		s *CollectorSession
-	}
-	var all []keyed
-	for _, s := range h.sessions {
-		for i := range s.archive {
-			all = append(all, keyed{&s.archive[i], s})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].e.Time < all[j].e.Time })
-	mw := mrt.NewWriter(w)
-	for _, k := range all {
-		rec := mrt.Record{
-			TimeMicros: k.e.Time,
-			PeerAS:     k.e.PeerAS,
-			LocalAS:    65000,
-			PeerIP:     k.s.peer.Endpoint().RemoteAddr(),
-			LocalIP:    k.s.peer.Endpoint().Config().Addr,
-			Raw:        k.e.Raw,
-		}
-		if err := mw.Write(rec); err != nil {
-			return err
-		}
-	}
-	return mw.Flush()
 }

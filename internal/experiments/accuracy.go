@@ -6,23 +6,9 @@ import (
 
 	"tdat/internal/core"
 	"tdat/internal/factors"
+	"tdat/internal/oracle"
 	"tdat/internal/tracegen"
 )
-
-// expectedGroup maps each simulated pathology to the factor group T-DAT
-// should blame — the advantage of a simulator substrate is that ground
-// truth is known exactly.
-func expectedGroup(k tracegen.Kind) factors.Group {
-	switch k {
-	case tracegen.KindPaced, tracegen.KindClean:
-		return factors.GroupSender
-	case tracegen.KindSlowReceiver, tracegen.KindSmallWindow,
-		tracegen.KindDownstreamLoss, tracegen.KindZeroAckBug:
-		return factors.GroupReceiver
-	default: // upstream loss, bandwidth
-		return factors.GroupNetwork
-	}
-}
 
 // AccuracyRow is one scenario kind's attribution score.
 type AccuracyRow struct {
@@ -48,7 +34,7 @@ func Accuracy(seed int64, perKind int, disableShift bool) []AccuracyRow {
 
 	var rows []AccuracyRow
 	for _, k := range kinds {
-		row := AccuracyRow{Kind: k, Expected: expectedGroup(k)}
+		row := AccuracyRow{Kind: k, Expected: oracle.ExpectedGroup(k)}
 		for i := 0; i < perKind; i++ {
 			sc := tracegen.Scenario{Kind: k, Seed: seed + int64(i)*101, Routes: 10_000 + i*2_000}
 			switch k {

@@ -97,7 +97,7 @@ func Fig8(w io.Writer, seed int64) {
 // (t2).
 func Fig9(w io.Writer, seed int64) {
 	header(w, "Figure 9: session failure and peer-group blocking")
-	pg := tracegen.RunPeerGroup(seed, 20_000, 1_000_000, 180_000_000)
+	pg := tracegen.RunPeerGroup(seed, 2, 20_000, 1_000_000, 180_000_000)
 	healthy := analyzeTrace(pg.Healthy)
 	faulty := analyzeTrace(pg.Faulty)
 	if healthy == nil || faulty == nil {

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"tdat/internal/core"
+	"tdat/internal/detect"
 	"tdat/internal/factors"
+	"tdat/internal/series"
 	"tdat/internal/tracegen"
 )
 
@@ -224,6 +226,37 @@ func TestFig9DetectsBlocking(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "detected blocking") {
 		t.Errorf("Fig9 did not detect blocking:\n%s", out)
+	}
+}
+
+// TestPeerGroupBlockingAnyBlamesVendorMember runs a four-member peer group
+// end to end: every member's capture goes through the analyzer, and for
+// each healthy member PeerGroupBlockingAny blames the vendor member, whose
+// death blocked the group, among its three siblings, for a time between
+// the kill and the hold expiry.
+func TestPeerGroupBlockingAnyBlamesVendorMember(t *testing.T) {
+	pg := tracegen.RunPeerGroup(61, 4, 8_000, 1_000_000, 30_000_000)
+	cats := make([]*series.Catalog, len(pg.Members))
+	for i, tr := range pg.Members {
+		rep := analyzeTrace(tr)
+		if rep == nil {
+			t.Fatalf("member %d: capture is not one transfer", i)
+		}
+		cats[i] = rep.Catalog
+	}
+	vendor := len(cats) - 1
+	for i := 0; i < vendor; i++ {
+		siblings := append(append([]*series.Catalog(nil), cats[:i]...), cats[i+1:]...)
+		res, blamed, ok := detect.PeerGroupBlockingAny(cats[i], siblings, 0)
+		// Without member i, the vendor member is the last sibling.
+		if !ok || blamed != len(siblings)-1 {
+			t.Errorf("member %d: blamed sibling %d (ok %v), want the vendor member %d", i, blamed, ok, len(siblings)-1)
+			continue
+		}
+		// The blocking falls between the ground truth's t1 and t2.
+		if span, _ := res.Blocked.Bounds(); span.Start < pg.KillAt || span.End > pg.HoldExpiry {
+			t.Errorf("member %d: blocked %v outside kill %d .. hold expiry %d", i, res.Blocked, pg.KillAt, pg.HoldExpiry)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"tdat/internal/core"
+	"tdat/internal/oracle"
 	"tdat/internal/tcpsim"
 	"tdat/internal/tracegen"
 )
@@ -62,7 +63,7 @@ func StackRobustness(seed int64, perKind int) []StackRobustnessRow {
 					continue
 				}
 				cell.Trials++
-				if g, _ := rep.Transfers[0].Factors.Dominant(); g == expectedGroup(k) {
+				if g, _ := rep.Transfers[0].Factors.Dominant(); g == oracle.ExpectedGroup(k) {
 					cell.Correct++
 				}
 			}

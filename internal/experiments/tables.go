@@ -298,7 +298,7 @@ func Table5(w io.Writer, s *Suite, pgPerDataset int) *Table5Result {
 		}
 		var pgDelay float64
 		for k := 0; k < pgPerDataset; k++ {
-			pg := tracegen.RunPeerGroup(s.Scale.Seed+int64(i*100+k), 20_000,
+			pg := tracegen.RunPeerGroup(s.Scale.Seed+int64(i*100+k), 2, 20_000,
 				Micros(1+k)*1_000_000, hold)
 			healthy := analyzeTrace(pg.Healthy)
 			faulty := analyzeTrace(pg.Faulty)

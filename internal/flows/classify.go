@@ -13,8 +13,9 @@ import (
 //     downstream, i.e. receiver-local in the paper's deployment.
 //   - A packet filling a sequence gap the sniffer never saw is the repair of
 //     an upstream loss — unless reordering explains it (the packet's IP ID
-//     shows it was emitted before packets that arrived earlier, or it
-//     arrives within the reordering window of the gap opening).
+//     shows it was emitted before packets that arrived earlier, or, when
+//     its IP ID carries no order, it arrives within the reordering window
+//     of the gap opening).
 //
 // Each loss contributes its whole recovery period: from the moment the
 // sniffer could first know about the lost bytes (original capture time for
@@ -120,15 +121,16 @@ func classifyLosses(c *Connection, opts Options) {
 			}
 			reordered := false
 			if !opts.DisableReorderFilter {
-				if haveIPID {
+				if idDelta := int16(d.IPID - maxIPID); idDelta != 0 {
 					// A lower IP ID than packets that already arrived means
 					// this packet left the sender earlier: in-network
 					// reordering, not a retransmitted copy.
-					reordered = int16(d.IPID-maxIPID) < 0
+					reordered = idDelta < 0
 				} else {
-					// Without IP ID continuity, fall back to arrival lag:
-					// reordering shows up within milliseconds, repairs take
-					// at least an RTO.
+					// An IP ID equal to the highest seen carries no order
+					// (stacks that send every DF packet with ID 0), so fall
+					// back to arrival lag: reordering shows up within
+					// milliseconds, repairs take at least an RTO.
 					reordered = d.Time-opened <= reorderWindow
 				}
 			}
@@ -229,8 +231,8 @@ func scanSilentLoss(c *Connection) {
 	}
 }
 
-// reorderWindow is the arrival slack within which a gap fill without IP ID
-// evidence is attributed to in-network reordering rather than loss
+// reorderWindow is the arrival slack within which a gap fill whose IP ID
+// carries no order is attributed to in-network reordering rather than loss
 // (Jaiswal et al. observe reordering lags of a few milliseconds; repairs
 // take at least an RTO): 2 ms.
 const reorderWindow Micros = 2_000

@@ -211,6 +211,57 @@ func TestDisableReorderFilterAblation(t *testing.T) {
 	}
 }
 
+// zeroIPIDGap captures a segment that opens a one-segment gap at 20 ms and
+// the gap's fill lag µs later, with every IP ID 0 (as stacks that send DF
+// packets without IDs do), and returns the connection and the fill.
+func zeroIPIDGap(t *testing.T, lag Micros) (*Connection, *DataEvent) {
+	t.Helper()
+	b := &builder{}
+	b.handshake(0, 10_000, 0, 0, 1460)
+	b.add(20_000, senderEP, receiverEP, 1461, 1, packet.FlagACK, 65535, 1460)
+	b.add(20_000+lag, senderEP, receiverEP, 1, 1, packet.FlagACK, 65535, 1460)
+	for _, tp := range b.pkts {
+		tp.Pkt.IP.ID = 0
+	}
+	c := Extract(b.pkts)[0]
+	for i := range c.Data {
+		if c.Data[i].Seq == 0 {
+			return c, &c.Data[i]
+		}
+	}
+	t.Fatal("no gap fill captured")
+	return nil, nil
+}
+
+// TestZeroIPIDReorderingByArrivalLag: when IP IDs carry no order, a fill
+// 500 µs behind its gap is reordering and charges no loss, while a repair
+// one RTO late is a gap fill with an upstream loss.
+func TestZeroIPIDReorderingByArrivalLag(t *testing.T) {
+	c, fill := zeroIPIDGap(t, 500)
+	if fill.Kind != DataReordered || !c.UpstreamLoss.Empty() {
+		t.Errorf("500 µs lag: kind %v, upstream loss %v; want reordered and none", fill.Kind, c.UpstreamLoss)
+	}
+	c, fill = zeroIPIDGap(t, 200_000)
+	if fill.Kind != DataGapFill || c.UpstreamLoss.Empty() {
+		t.Errorf("one-RTO lag: kind %v, upstream loss %v; want gap-fill and a loss", fill.Kind, c.UpstreamLoss)
+	}
+}
+
+// TestReorderWindowBoundary pins the 2 ms reorder window: with IP IDs that
+// carry no order, a fill exactly 2,000 µs behind its gap is reordered and
+// one 2,001 µs behind is not. The threshold is spelled as a literal so
+// moving the constant by one unit fails the test.
+func TestReorderWindowBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		lag  Micros
+		want DataKind
+	}{{2_000, DataReordered}, {2_001, DataGapFill}} {
+		if _, fill := zeroIPIDGap(t, tc.lag); fill.Kind != tc.want {
+			t.Errorf("lag %d µs: kind %v, want %v", tc.lag, fill.Kind, tc.want)
+		}
+	}
+}
+
 func TestDupAckDetection(t *testing.T) {
 	b := &builder{}
 	b.handshake(0, 10_000, 0, 0, 1460)

@@ -6,11 +6,7 @@
 package netem
 
 import (
-	"fmt"
-	"io"
-
 	"tdat/internal/packet"
-	"tdat/internal/pcapio"
 	"tdat/internal/sim"
 	"tdat/internal/timerange"
 )
@@ -190,21 +186,6 @@ func (s *Sniffer) Captures() []Capture { return s.captures }
 
 // Reset discards recorded captures.
 func (s *Sniffer) Reset() { s.captures = nil }
-
-// WritePcap serializes the capture to a pcap stream.
-func (s *Sniffer) WritePcap(w io.Writer) error {
-	pw := pcapio.NewWriter(w)
-	for i, c := range s.captures {
-		frame, err := c.Pkt.Marshal()
-		if err != nil {
-			return fmt.Errorf("netem: marshaling capture %d: %w", i, err)
-		}
-		if err := pw.WritePacket(c.Time, frame); err != nil {
-			return err
-		}
-	}
-	return pw.Flush()
-}
 
 // Span returns the time range covered by the capture.
 func (s *Sniffer) Span() (timerange.Range, bool) {

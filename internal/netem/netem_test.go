@@ -1,12 +1,10 @@
 package netem
 
 import (
-	"bytes"
 	"net/netip"
 	"testing"
 
 	"tdat/internal/packet"
-	"tdat/internal/pcapio"
 	"tdat/internal/sim"
 	"tdat/internal/timerange"
 )
@@ -145,29 +143,6 @@ func TestSnifferRecordsAndForwards(t *testing.T) {
 	span, ok := sn.Span()
 	if !ok || span.Start != 10 || span.End != 21 {
 		t.Errorf("span = %v,%v", span, ok)
-	}
-}
-
-func TestSnifferWritePcap(t *testing.T) {
-	eng := sim.New(0, 1)
-	sn := NewSniffer(eng)
-	h := sn.Tap(DirData, func(*packet.Packet) {})
-	eng.At(1234, func() { h(testPacket(99)) })
-	eng.RunAll(0)
-	var buf bytes.Buffer
-	if err := sn.WritePcap(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := pcapio.ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("recs=%d err=%v", len(recs), err)
-	}
-	if recs[0].TimeMicros != 1234 {
-		t.Errorf("time = %d", recs[0].TimeMicros)
-	}
-	var p packet.Packet
-	if err := packet.DecodeInto(recs[0].Data, &p); err != nil || len(p.Payload) != 99 {
-		t.Errorf("decode: %v payload=%d", err, len(p.Payload))
 	}
 }
 

@@ -5,14 +5,12 @@ import (
 	"math/rand"
 	"net/netip"
 
-	"tdat/internal/timerange"
-
-	"tdat/internal/bgp"
 	"tdat/internal/bgpsim"
 	"tdat/internal/netem"
 	"tdat/internal/packet"
 	"tdat/internal/sim"
 	"tdat/internal/tcpsim"
+	"tdat/internal/timerange"
 )
 
 // WeightedKind is one entry in a dataset's scenario mix.
@@ -47,13 +45,6 @@ type DatasetProfile struct {
 	UseArchive bool
 }
 
-// Transfer is one generated transfer with its provenance.
-type Transfer struct {
-	Index  int
-	Router Router
-	Trace  *Trace
-}
-
 // Pick is one transfer's pre-drawn scenario: all the profile's random
 // choices (router, scenario kind, per-transfer seed) made ahead of the
 // simulation. Drawing every pick up front keeps the RNG strictly
@@ -65,8 +56,8 @@ type Pick struct {
 	Scenario Scenario
 }
 
-// Picks draws every transfer's scenario in order. Running pick i via
-// RunWithProfile reproduces exactly what Generate produces for index i.
+// Picks draws every transfer's scenario in order; RunWithProfile runs
+// one.
 func (p DatasetProfile) Picks() []Pick {
 	rnd := rand.New(rand.NewSource(p.BaseSeed))
 	routers := make([]Router, p.Routers)
@@ -100,14 +91,6 @@ func (p DatasetProfile) Picks() []Pick {
 		picks = append(picks, Pick{Index: i, Router: r, Scenario: sc})
 	}
 	return picks
-}
-
-// Generate synthesizes the dataset, invoking cb per transfer (streaming, so
-// memory stays bounded at large scales).
-func (p DatasetProfile) Generate(cb func(t Transfer)) {
-	for _, pk := range p.Picks() {
-		cb(Transfer{Index: pk.Index, Router: pk.Router, Trace: RunWithProfile(pk.Scenario, p)})
-	}
 }
 
 // RunWithProfile is Run with the profile-wide TCP overrides (RTO backoff,
@@ -181,36 +164,28 @@ func RouteViews(transfers, routers int, seed int64) DatasetProfile {
 	}
 }
 
-// PeerGroupResult carries the two coupled traces of a blocking scenario.
+// PeerGroupResult carries the coupled traces of a blocking scenario.
 type PeerGroupResult struct {
-	Healthy *Trace // the surviving (Quagga) session
-	Faulty  *Trace // the killed (vendor) session
+	// Members holds every member's trace in dial order: the healthy
+	// (Quagga) collectors first, the killed vendor collector last.
+	Members []*Trace
+	Healthy *Trace // the first healthy session, Members[0]
+	Faulty  *Trace // the killed (vendor) session, the last member
 	// KillAt and HoldExpiry are the ground-truth t1 and t2 of paper Fig 9.
 	KillAt     Micros
 	HoldExpiry Micros
 }
 
-// RunPeerGroup reproduces paper Fig 9: two collectors in one peer group;
-// the vendor collector dies mid-transfer and blocks the healthy session
-// until the hold timer removes it.
-func RunPeerGroup(seed int64, routes int, killAt, hold Micros) *PeerGroupResult {
+// RunPeerGroup reproduces paper Fig 9: members collectors (two or more)
+// share one peer group, and the vendor collector, dialed last, dies at
+// killAt and blocks every healthy session until the router's hold timer
+// removes it. The healthy collectors are 10.0.0.2, 10.0.0.3, … in dial
+// order. More members amplify the blocking, as the paper warns: "the
+// effect of this problem would be amplified by the number of routers in
+// the group".
+func RunPeerGroup(seed int64, members, routes int, killAt, hold Micros) *PeerGroupResult {
+	members = max(members, 2)
 	eng := sim.New(0, seed)
-	table := Table(eng.Rand(), routes, 4)
-
-	mk := func(collAddr string) bgpsim.ConnSpec {
-		return bgpsim.ConnSpec{
-			RouterAddr:    netip.MustParseAddr("10.0.0.1"),
-			CollectorAddr: netip.MustParseAddr(collAddr),
-			RouterTCP:     tcpsim.Config{SendBuf: 16384},
-			Path: netem.PathConfig{
-				UpstreamDelay:   4_000,
-				DownstreamDelay: 200,
-			},
-		}
-	}
-	connA := bgpsim.Dial(eng, mk("10.0.0.2"), 7018)
-	connB := bgpsim.Dial(eng, mk("10.0.0.3"), 7018)
-
 	speaker := bgpsim.NewSpeaker(eng, bgpsim.SpeakerConfig{
 		AS:                7018,
 		HoldTime:          hold,
@@ -219,115 +194,47 @@ func RunPeerGroup(seed int64, routes int, killAt, hold Micros) *PeerGroupResult 
 		PacingInterval:    50_000,
 		PacingBudget:      6,
 	})
-	speaker.Table = table
+	speaker.Table = Table(eng.Rand(), routes, 4)
 	group := speaker.NewPeerGroup()
-	speaker.AddSession(connA.RouterPeer, group)
-	speaker.AddSession(connB.RouterPeer, group)
 
-	hostA := bgpsim.NewCollectorHost(eng, bgpsim.CollectorConfig{})
-	csA := hostA.AddSession(connA.CollectorPeer, 7018)
-	hostB := bgpsim.NewCollectorHost(eng, bgpsim.CollectorConfig{Kind: bgpsim.KindVendor})
-	csB := hostB.AddSession(connB.CollectorPeer, 7018)
+	conns := make([]*bgpsim.Conn, members)
+	sessions := make([]*bgpsim.CollectorSession, members)
+	for i := range conns {
+		conns[i] = bgpsim.Dial(eng, bgpsim.ConnSpec{
+			RouterAddr:    netip.MustParseAddr("10.0.0.1"),
+			CollectorAddr: netip.AddrFrom4([4]byte{10, 0, 0, byte(2 + i)}),
+			RouterTCP:     tcpsim.Config{SendBuf: 16384},
+			Path: netem.PathConfig{
+				UpstreamDelay:   4_000,
+				DownstreamDelay: 200,
+			},
+		}, 7018)
+		speaker.AddSession(conns[i].RouterPeer, group)
+		cfg := bgpsim.CollectorConfig{}
+		if i == members-1 {
+			cfg.Kind = bgpsim.KindVendor
+		}
+		sessions[i] = bgpsim.NewCollectorHost(eng, cfg).AddSession(conns[i].CollectorPeer, 7018)
+	}
 
-	var holdExpiry Micros
-	prev := connB.RouterPeer.OnDown
-	connB.RouterPeer.OnDown = func(r string) {
-		holdExpiry = eng.Now()
+	res := &PeerGroupResult{KillAt: killAt}
+	vendor := conns[members-1]
+	prev := vendor.RouterPeer.OnDown
+	vendor.RouterPeer.OnDown = func(r string) {
+		res.HoldExpiry = eng.Now()
 		if prev != nil {
 			prev(r)
 		}
 	}
-	eng.At(killAt, func() { connB.CollectorPeer.Endpoint().Kill() })
+	eng.At(killAt, func() { vendor.CollectorPeer.Endpoint().Kill() })
 	eng.Run(hold*3 + 600_000_000)
 
-	collect := func(conn *bgpsim.Conn, cs *bgpsim.CollectorSession) *Trace {
-		tr := &Trace{Captures: conn.Sniffer().Captures(), Archive: cs.Archive()}
-		for _, e := range tr.Archive {
-			if m, err := bgp.Parse(e.Raw); err == nil {
-				if u, ok := m.(*bgp.Update); ok {
-					tr.RoutesDelivered += len(u.NLRI)
-				}
-			}
-		}
-		if n := len(tr.Archive); n > 0 {
-			tr.GroundDuration = tr.Archive[n-1].Time
-		}
-		return tr
+	res.Members = make([]*Trace, members)
+	for i, conn := range conns {
+		res.Members[i] = (&Trace{Captures: conn.Sniffer().Captures(), Archive: sessions[i].Archive()}).finish()
 	}
-	return &PeerGroupResult{
-		Healthy:    collect(connA, csA),
-		Faulty:     collect(connB, csB),
-		KillAt:     killAt,
-		HoldExpiry: holdExpiry,
-	}
-}
-
-// RunPeerGroupN is RunPeerGroup with n members: members 1..n-1 stay
-// healthy, member 0 ("the vendor box") is killed at killAt and blocks the
-// entire group until its hold timer evicts it — the amplification the
-// paper warns about ("the effect of this problem would be amplified by the
-// number of routers in the group").
-func RunPeerGroupN(seed int64, n, routes int, killAt, hold Micros) []*Trace {
-	if n < 2 {
-		n = 2
-	}
-	eng := sim.New(0, seed)
-	table := Table(eng.Rand(), routes, 4)
-
-	speaker := bgpsim.NewSpeaker(eng, bgpsim.SpeakerConfig{
-		AS:                7018,
-		HoldTime:          hold,
-		KeepaliveInterval: hold / 3,
-		GroupQueueSlack:   8,
-		PacingInterval:    50_000,
-		PacingBudget:      6,
-	})
-	speaker.Table = table
-	group := speaker.NewPeerGroup()
-
-	type memberConn struct {
-		conn *bgpsim.Conn
-		cs   *bgpsim.CollectorSession
-	}
-	members := make([]memberConn, n)
-	for i := 0; i < n; i++ {
-		spec := bgpsim.ConnSpec{
-			RouterAddr:    netip.MustParseAddr("10.0.0.1"),
-			CollectorAddr: netip.AddrFrom4([4]byte{10, 0, 2, byte(i + 1)}),
-			RouterTCP:     tcpsim.Config{SendBuf: 16384},
-			Path: netem.PathConfig{
-				UpstreamDelay:   4_000,
-				DownstreamDelay: 200,
-			},
-		}
-		conn := bgpsim.Dial(eng, spec, 7018)
-		speaker.AddSession(conn.RouterPeer, group)
-		kind := bgpsim.CollectorConfig{}
-		if i == 0 {
-			kind.Kind = bgpsim.KindVendor
-		}
-		host := bgpsim.NewCollectorHost(eng, kind)
-		members[i] = memberConn{conn: conn, cs: host.AddSession(conn.CollectorPeer, 7018)}
-	}
-	eng.At(killAt, func() { members[0].conn.CollectorPeer.Endpoint().Kill() })
-	eng.Run(hold*3 + 600_000_000)
-
-	out := make([]*Trace, n)
-	for i, m := range members {
-		tr := &Trace{Captures: m.conn.Sniffer().Captures(), Archive: m.cs.Archive()}
-		for _, e := range tr.Archive {
-			if msg, err := bgp.Parse(e.Raw); err == nil {
-				if u, ok := msg.(*bgp.Update); ok {
-					tr.RoutesDelivered += len(u.NLRI)
-				}
-			}
-		}
-		if len(tr.Archive) > 0 {
-			tr.GroundDuration = tr.Archive[len(tr.Archive)-1].Time
-		}
-		out[i] = tr
-	}
-	return out
+	res.Healthy, res.Faulty = res.Members[0], res.Members[members-1]
+	return res
 }
 
 // RunIncast reproduces the concurrent-transfer scenarios (paper Fig 7 and
@@ -371,22 +278,11 @@ func RunIncast(seed int64, n, routes int, sharedQueue int, collectorRate int64) 
 
 	out := make([]*Trace, 0, n)
 	for _, w := range wires {
-		tr := &Trace{
+		out = append(out, (&Trace{
 			Captures:    w.conn.sniffer.Captures(),
 			Archive:     w.csess.Archive(),
 			RouterStats: w.conn.routerPeer.Endpoint().Stats(),
-		}
-		for _, e := range tr.Archive {
-			if m, err := bgp.Parse(e.Raw); err == nil {
-				if u, ok := m.(*bgp.Update); ok {
-					tr.RoutesDelivered += len(u.NLRI)
-				}
-			}
-		}
-		if n := len(tr.Archive); n > 0 {
-			tr.GroundDuration = tr.Archive[n-1].Time
-		}
-		out = append(out, tr)
+		}).finish())
 	}
 	return out
 }
@@ -434,16 +330,12 @@ func RunWithReset(sc Scenario, resetAt Micros) *Trace {
 	sc = sc.withDefaults()
 	eng := sim.New(0, sc.Seed)
 	table := Table(eng.Rand(), sc.Routes, sc.RoutesPerGroup)
-	routerAddr := netip.MustParseAddr("10.0.0.1")
-	collAddr := netip.MustParseAddr("10.0.0.2")
+	spec := observedSpec(sc, netip.MustParseAddr("10.0.0.2"))
 
 	// Rebindable endpoints behind stable handlers, so both connection
 	// generations share one path and one sniffer.
 	var routerEP, collectorEP *tcpsim.Endpoint
-	path := netem.NewPath(eng, netem.PathConfig{
-		UpstreamDelay:   sc.RTT / 2,
-		DownstreamDelay: sc.RTT / 16,
-	},
+	path := netem.NewPath(eng, spec.Path,
 		func(p *packet.Packet) { collectorEP.Deliver(p) },
 		func(p *packet.Packet) { routerEP.Deliver(p) },
 	)
@@ -459,16 +351,16 @@ func RunWithReset(sc Scenario, resetAt Micros) *Trace {
 
 	var csessions []*bgpsim.CollectorSession
 	dial := func() {
-		routerEP = tcpsim.NewEndpoint(eng, tcpsim.Config{Addr: routerAddr, Port: 179},
+		routerEP = tcpsim.NewEndpoint(eng, tcpsim.Config{Addr: spec.RouterAddr, Port: 179},
 			tcpsim.Handler(path.DataIn))
-		collectorEP = tcpsim.NewEndpoint(eng, tcpsim.Config{Addr: collAddr, Port: 41000},
+		collectorEP = tcpsim.NewEndpoint(eng, tcpsim.Config{Addr: spec.CollectorAddr, Port: 41000},
 			tcpsim.Handler(path.AckIn))
 		collectorEP.Listen()
 		routerPeer := bgpsim.NewPeer(eng, routerEP, "router", 7018, true)
 		collectorPeer := bgpsim.NewPeer(eng, collectorEP, "collector", 65000, false)
 		speaker.AddSession(routerPeer, nil)
 		csessions = append(csessions, host.AddSession(collectorPeer, 7018))
-		routerEP.Connect(collAddr, 41000)
+		routerEP.Connect(spec.CollectorAddr, 41000)
 	}
 	dial()
 	eng.At(resetAt, func() {
@@ -481,16 +373,6 @@ func RunWithReset(sc Scenario, resetAt Micros) *Trace {
 	tr := &Trace{Kind: sc.Kind, Captures: path.Sniffer.Captures()}
 	for _, cs := range csessions {
 		tr.Archive = append(tr.Archive, cs.Archive()...)
-		for _, e := range cs.Archive() {
-			if m, err := bgp.Parse(e.Raw); err == nil {
-				if u, ok := m.(*bgp.Update); ok {
-					tr.RoutesDelivered += len(u.NLRI)
-				}
-			}
-		}
 	}
-	if len(tr.Archive) > 0 {
-		tr.GroundDuration = tr.Archive[len(tr.Archive)-1].Time
-	}
-	return tr
+	return tr.finish()
 }

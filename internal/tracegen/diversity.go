@@ -3,12 +3,9 @@ package tracegen
 import (
 	"net/netip"
 
-	"tdat/internal/bgp"
 	"tdat/internal/bgpsim"
 	"tdat/internal/dist"
-	"tdat/internal/netem"
 	"tdat/internal/sim"
-	"tdat/internal/tcpsim"
 )
 
 // heavyTailProfile is the KindHeavyTailApp send pattern: Pareto idle gaps
@@ -41,58 +38,18 @@ func bimodalProfile(seed int64) *bgpsim.AppProfile {
 	}
 }
 
-// runFanout executes KindFanout: one speaker replicates the table through
-// a single peer group to GroupMembers collectors. Member 0 is the observed
-// connection (sniffer + ground truth, wired exactly like runScenario); the
-// rest are unobserved, and SlowMembers of them run rate-limited collector
-// apps, so the observed member repeatedly exhausts the group slack bound
-// and stalls — the route-server-scale amplification of paper §II-B3.
-func runFanout(sc Scenario) *Trace {
-	eng := sim.New(0, sc.Seed)
-	table := Table(eng.Rand(), sc.Routes, sc.RoutesPerGroup)
-
-	speaker := bgpsim.NewSpeaker(eng, bgpsim.SpeakerConfig{
-		AS:              7018,
-		GroupQueueSlack: sc.GroupSlack,
-		// Mild pacing, like KindClean: routers never blast at line rate.
-		PacingInterval: 20_000,
-		PacingBudget:   32,
-	})
-	speaker.Table = table
-	group := speaker.NewPeerGroup()
-
-	// Member 0: the observed connection.
-	spec := bgpsim.ConnSpec{
-		RouterAddr:    netip.MustParseAddr("10.0.0.1"),
-		CollectorAddr: netip.MustParseAddr("10.0.0.2"),
-		Path: netem.PathConfig{
-			UpstreamDelay:   sc.RTT / 2,
-			DownstreamDelay: sc.RTT / 16,
-		},
-	}
-	tcpsim.ApplyStack(sc.Stack, &spec.RouterTCP, &spec.CollectorTCP)
-	conn := bgpsim.Dial(eng, spec, 7018)
-	sess := speaker.AddSession(conn.RouterPeer, group)
-	queued := -1
-	sess.OnTransferQueued = func(n, _ int) { queued = n }
-	host := bgpsim.NewCollectorHost(eng, bgpsim.CollectorConfig{})
-	csess := host.AddSession(conn.CollectorPeer, 7018)
-	rec := newTruthRecorder()
-	rec.attach(conn, sess)
-
-	// Members 1..N-1: unobserved replicas. The first SlowMembers of them
-	// read at CollectorRate and drag the group floor; the rest share one
-	// unthrottled host.
+// addReplicas dials the unobserved members 1..GroupMembers-1 of a
+// KindFanout peer group, each over the observed member's spec. Member 0,
+// the observed connection, stalls on the group slack bound behind the
+// first SlowMembers replicas, which read at CollectorRate; the rest share
+// one unthrottled host. That is the route-server-scale amplification of
+// paper §II-B3. The observed member's archive completes only once the
+// whole group is within slack of done, so it alone decides when a run
+// ends.
+func addReplicas(eng *sim.Engine, sc Scenario, speaker *bgpsim.Speaker, group *bgpsim.PeerGroup) {
 	fastHost := bgpsim.NewCollectorHost(eng, bgpsim.CollectorConfig{})
 	for i := 1; i < sc.GroupMembers; i++ {
-		mspec := bgpsim.ConnSpec{
-			RouterAddr:    netip.MustParseAddr("10.0.0.1"),
-			CollectorAddr: netip.AddrFrom4([4]byte{10, 0, byte(2 + i>>8), byte(i)}),
-			Path: netem.PathConfig{
-				UpstreamDelay:   sc.RTT / 2,
-				DownstreamDelay: sc.RTT / 16,
-			},
-		}
+		spec := observedSpec(sc, netip.AddrFrom4([4]byte{10, 0, byte(2 + i>>8), byte(i)}))
 		h := fastHost
 		if i <= sc.SlowMembers {
 			// Slow members pair a throttled reader with tight socket buffers:
@@ -101,46 +58,12 @@ func runFanout(sc Scenario) *Trace {
 			// 64 KB buffers a small table fits entirely in flight and the
 			// slack bound never binds. Tight buffers push the app bottleneck
 			// back to the speaker, the way RunPeerGroup pins SendBuf.
-			mspec.RouterTCP.SendBuf = 4096
-			mspec.CollectorTCP.RecvBuf = 4096
+			spec.RouterTCP.SendBuf = 4096
+			spec.CollectorTCP.RecvBuf = 4096
 			h = bgpsim.NewCollectorHost(eng, bgpsim.CollectorConfig{TotalRate: sc.CollectorRate})
 		}
-		mconn := bgpsim.Dial(eng, mspec, 7018)
-		speaker.AddSession(mconn.RouterPeer, group)
-		h.AddSession(mconn.CollectorPeer, 7018)
+		conn := bgpsim.Dial(eng, spec, 7018)
+		speaker.AddSession(conn.RouterPeer, group)
+		h.AddSession(conn.CollectorPeer, 7018)
 	}
-
-	// Run until the observed member's archive is complete (which, through
-	// the slack bound, implies the whole group is within slack of done).
-	const chunk = 5_000_000
-	for eng.Now() < sc.Horizon {
-		until := eng.Now() + chunk
-		if until > sc.Horizon {
-			until = sc.Horizon
-		}
-		eng.Run(until)
-		if queued >= 0 && len(csess.Archive()) >= queued {
-			eng.Run(eng.Now() + 1_000_000) // drain trailing ACKs
-			break
-		}
-	}
-
-	tr := &Trace{
-		Kind:        sc.Kind,
-		Captures:    conn.Sniffer().Captures(),
-		Archive:     csess.Archive(),
-		RouterStats: conn.RouterPeer.Endpoint().Stats(),
-		Truth:       rec.finish(eng.Now()),
-	}
-	for _, e := range tr.Archive {
-		if m, err := bgp.Parse(e.Raw); err == nil {
-			if u, ok := m.(*bgp.Update); ok {
-				tr.RoutesDelivered += len(u.NLRI)
-			}
-		}
-	}
-	if n := len(tr.Archive); n > 0 {
-		tr.GroundDuration = tr.Archive[n-1].Time
-	}
-	return tr
 }

@@ -8,13 +8,19 @@
 package tracegen
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
+	"strings"
 
 	"tdat/internal/bgp"
 	"tdat/internal/bgpsim"
 	"tdat/internal/flows"
+	"tdat/internal/mrt"
 	"tdat/internal/netem"
+	"tdat/internal/packet"
+	"tdat/internal/pcapio"
 	"tdat/internal/sim"
 	"tdat/internal/tcpsim"
 	"tdat/internal/timerange"
@@ -106,36 +112,28 @@ const (
 	KindFanout
 )
 
+var kindNames = [...]string{
+	"clean", "paced", "slow-receiver", "small-window", "upstream-loss",
+	"downstream-loss", "bandwidth", "zero-ack-bug", "heavy-tail-app",
+	"bimodal-app", "varying-rate", "fanout",
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindClean:
-		return "clean"
-	case KindPaced:
-		return "paced"
-	case KindSlowReceiver:
-		return "slow-receiver"
-	case KindSmallWindow:
-		return "small-window"
-	case KindUpstreamLoss:
-		return "upstream-loss"
-	case KindDownstreamLoss:
-		return "downstream-loss"
-	case KindBandwidth:
-		return "bandwidth"
-	case KindZeroAckBug:
-		return "zero-ack-bug"
-	case KindHeavyTailApp:
-		return "heavy-tail-app"
-	case KindBimodalApp:
-		return "bimodal-app"
-	case KindVaryingRate:
-		return "varying-rate"
-	case KindFanout:
-		return "fanout"
-	default:
+	if k < 0 || int(k) >= len(kindNames) {
 		return "unknown"
 	}
+	return kindNames[k]
+}
+
+// ParseKind is the inverse of Kind.String.
+func ParseKind(name string) (Kind, error) {
+	for i, n := range kindNames {
+		if name == n {
+			return Kind(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scenario kind %q (have %s)", name, strings.Join(kindNames[:], ", "))
 }
 
 // Scenario is one table-transfer run.
@@ -282,6 +280,61 @@ func (t *Trace) Packets() []flows.TimedPacket {
 	return out
 }
 
+// finish derives RoutesDelivered and GroundDuration from the archive.
+func (t *Trace) finish() *Trace {
+	for _, e := range t.Archive {
+		if m, err := bgp.Parse(e.Raw); err == nil {
+			if u, ok := m.(*bgp.Update); ok {
+				t.RoutesDelivered += len(u.NLRI)
+			}
+		}
+	}
+	if n := len(t.Archive); n > 0 {
+		t.GroundDuration = t.Archive[n-1].Time
+	}
+	return t
+}
+
+// WritePcap writes the capture as a pcap stream.
+func (t *Trace) WritePcap(w io.Writer) error {
+	pw := pcapio.NewWriter(w)
+	for i, c := range t.Captures {
+		frame, err := c.Pkt.Marshal()
+		if err != nil {
+			return fmt.Errorf("tracegen: marshaling capture %d: %w", i, err)
+		}
+		if err := pw.WritePacket(c.Time, frame); err != nil {
+			return err
+		}
+	}
+	return pw.Flush()
+}
+
+// WriteMRT appends the archive to mw as a Quagga collector logs it. The
+// router is the peer and the collector the local end, both taken from the
+// capture's first packet (the router's SYN). The caller flushes mw, so
+// several traces can share one archive.
+func (t *Trace) WriteMRT(mw *mrt.Writer) error {
+	var syn packet.IPv4
+	if len(t.Captures) > 0 {
+		syn = t.Captures[0].Pkt.IP
+	}
+	for _, e := range t.Archive {
+		rec := mrt.Record{
+			TimeMicros: e.Time,
+			PeerAS:     e.PeerAS,
+			LocalAS:    65000,
+			PeerIP:     syn.Src,
+			LocalIP:    syn.Dst,
+			Raw:        e.Raw,
+		}
+		if err := mw.Write(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WithDefaults returns the scenario with every zero field replaced by its
 // documented default — the effective parameters Run will use. Validation
 // harnesses need it to know, e.g., the pacing timer a detector must find.
@@ -295,20 +348,10 @@ func Run(sc Scenario) *Trace { return runScenario(sc, 0, 0) }
 // do not pick their own.
 func runScenario(sc Scenario, rtoBackoff float64, collectorBuf int) *Trace {
 	sc = sc.withDefaults()
-	if sc.Kind == KindFanout {
-		return runFanout(sc)
-	}
 	eng := sim.New(0, sc.Seed)
 	table := Table(eng.Rand(), sc.Routes, sc.RoutesPerGroup)
 
-	spec := bgpsim.ConnSpec{
-		RouterAddr:    netip.MustParseAddr("10.0.0.1"),
-		CollectorAddr: netip.MustParseAddr("10.0.0.2"),
-		Path: netem.PathConfig{
-			UpstreamDelay:   sc.RTT / 2,
-			DownstreamDelay: sc.RTT / 16,
-		},
-	}
+	spec := observedSpec(sc, netip.MustParseAddr("10.0.0.2"))
 	scfg := bgpsim.SpeakerConfig{AS: 7018}
 	ccfg := bgpsim.CollectorConfig{}
 
@@ -360,6 +403,11 @@ func runScenario(sc Scenario, rtoBackoff float64, collectorBuf int) *Trace {
 		spec.CollectorTCP.RecvBuf = 8192
 		ccfg.TotalRate = sc.CollectorRate
 		ccfg.ProcessInterval = 400_000 // coarse scheduling: bursty reads
+	case KindFanout:
+		scfg.GroupQueueSlack = sc.GroupSlack
+		// Mild pacing, like KindClean.
+		scfg.PacingInterval = 20_000
+		scfg.PacingBudget = 32
 	}
 
 	if collectorBuf != 0 && spec.CollectorTCP.RecvBuf == 0 {
@@ -372,52 +420,90 @@ func runScenario(sc Scenario, rtoBackoff float64, collectorBuf int) *Trace {
 	// The router is the data sender, so its config takes the congestion
 	// control; receiver quirks land on the collector.
 	tcpsim.ApplyStack(sc.Stack, &spec.RouterTCP, &spec.CollectorTCP)
-	conn := bgpsim.Dial(eng, spec, 7018)
 	speaker := bgpsim.NewSpeaker(eng, scfg)
 	speaker.Table = table
-	sess := speaker.AddSession(conn.RouterPeer, nil)
-	queued := -1
-	sess.OnTransferQueued = func(n, _ int) { queued = n }
-	host := bgpsim.NewCollectorHost(eng, ccfg)
-	csess := host.AddSession(conn.CollectorPeer, 7018)
-	rec := newTruthRecorder()
-	rec.attach(conn, sess)
+	var group *bgpsim.PeerGroup
+	if sc.Kind == KindFanout {
+		group = speaker.NewPeerGroup()
+	}
+	o := observe(eng, spec, speaker, group, bgpsim.NewCollectorHost(eng, ccfg))
+	if group != nil {
+		addReplicas(eng, sc, speaker, group)
+	}
+	o.runUntilArchived(sc.Horizon, drainTail)
+	return o.trace(sc.Kind)
+}
 
-	// Run in chunks and stop shortly after the collector has processed the
-	// whole table — keepalive timers keep the event queue alive forever, so
-	// the horizon alone never terminates the run, and a long keepalive tail
-	// would pollute the capture.
+// observedSpec is the connection every observed session runs over, and
+// every fanout replica too: router 10.0.0.1, with half the RTT upstream of
+// the sniffer and a sixteenth of it downstream.
+func observedSpec(sc Scenario, collector netip.Addr) bgpsim.ConnSpec {
+	return bgpsim.ConnSpec{
+		RouterAddr:    netip.MustParseAddr("10.0.0.1"),
+		CollectorAddr: collector,
+		Path: netem.PathConfig{
+			UpstreamDelay:   sc.RTT / 2,
+			DownstreamDelay: sc.RTT / 16,
+		},
+	}
+}
+
+// observed is one dialed router→collector session whose capture, archive,
+// sender counters and ground truth make up a Trace.
+type observed struct {
+	eng   *sim.Engine
+	conn  *bgpsim.Conn
+	sess  *bgpsim.Session
+	csess *bgpsim.CollectorSession
+	rec   *truthRecorder
+	// want is how many archived updates end the run: the table transfer's,
+	// once the speaker has queued it; -1 before.
+	want int
+}
+
+// observe dials spec and attaches its router end to speaker (inside group,
+// or standalone when group is nil), its collector end to host, and the
+// truth recorder to both.
+func observe(eng *sim.Engine, spec bgpsim.ConnSpec, speaker *bgpsim.Speaker, group *bgpsim.PeerGroup, host *bgpsim.CollectorHost) *observed {
+	o := &observed{eng: eng, conn: bgpsim.Dial(eng, spec, 7018), rec: newTruthRecorder(), want: -1}
+	o.sess = speaker.AddSession(o.conn.RouterPeer, group)
+	o.sess.OnTransferQueued = func(n, _ int) { o.want = n }
+	o.csess = host.AddSession(o.conn.CollectorPeer, 7018)
+	o.rec.attach(o.conn, o.sess)
+	return o
+}
+
+// drainTail is how long a run goes on once the collector has archived what
+// it waited for, so the trailing ACKs make the capture.
+const drainTail Micros = 1_000_000
+
+// runUntilArchived runs the engine in 5 s chunks, never past horizon,
+// until the collector has archived o.want updates, and then tail more.
+// Keepalive timers keep the event queue alive forever, so a run cannot
+// wait for it to drain, and running on to the horizon would pad the
+// capture with a long keepalive tail.
+func (o *observed) runUntilArchived(horizon, tail Micros) {
 	const chunk = 5_000_000
-	for eng.Now() < sc.Horizon {
-		until := eng.Now() + chunk
-		if until > sc.Horizon {
-			until = sc.Horizon
-		}
-		eng.Run(until)
-		if queued >= 0 && len(csess.Archive()) >= queued {
-			eng.Run(eng.Now() + 1_000_000) // drain trailing ACKs
-			break
-		}
-	}
-
-	tr := &Trace{
-		Kind:        sc.Kind,
-		Captures:    conn.Sniffer().Captures(),
-		Archive:     csess.Archive(),
-		RouterStats: conn.RouterPeer.Endpoint().Stats(),
-		Truth:       rec.finish(eng.Now()),
-	}
-	for _, e := range tr.Archive {
-		if m, err := bgp.Parse(e.Raw); err == nil {
-			if u, ok := m.(*bgp.Update); ok {
-				tr.RoutesDelivered += len(u.NLRI)
+	for o.eng.Now() < horizon {
+		o.eng.Run(min(o.eng.Now()+chunk, horizon))
+		if o.want >= 0 && len(o.csess.Archive()) >= o.want {
+			if tail > 0 {
+				o.eng.Run(o.eng.Now() + tail)
 			}
+			return
 		}
 	}
-	if n := len(tr.Archive); n > 0 {
-		tr.GroundDuration = tr.Archive[n-1].Time
-	}
-	return tr
+}
+
+// trace builds the session's Trace as of now.
+func (o *observed) trace(kind Kind) *Trace {
+	return (&Trace{
+		Kind:        kind,
+		Captures:    o.conn.Sniffer().Captures(),
+		Archive:     o.csess.Archive(),
+		RouterStats: o.conn.RouterPeer.Endpoint().Stats(),
+		Truth:       o.rec.finish(o.eng.Now()),
+	}).finish()
 }
 
 // ChurnTrace is the output of a churn scenario: an initial table transfer,
@@ -439,39 +525,20 @@ func RunChurn(sc Scenario, idleAfter Micros, churnFrac float64) *ChurnTrace {
 	eng := sim.New(0, sc.Seed)
 	table := Table(eng.Rand(), sc.Routes, sc.RoutesPerGroup)
 
-	spec := bgpsim.ConnSpec{
-		RouterAddr:    netip.MustParseAddr("10.0.0.1"),
-		CollectorAddr: netip.MustParseAddr("10.0.0.2"),
-		Path: netem.PathConfig{
-			UpstreamDelay:   sc.RTT / 2,
-			DownstreamDelay: sc.RTT / 16,
-		},
-	}
+	spec := observedSpec(sc, netip.MustParseAddr("10.0.0.2"))
 	scfg := bgpsim.SpeakerConfig{AS: 7018}
 	if sc.Kind == KindPaced {
 		scfg.PacingInterval = sc.PacingTimer
 		scfg.PacingBudget = sc.PacingBudget
 	}
 	tcpsim.ApplyStack(sc.Stack, &spec.RouterTCP, &spec.CollectorTCP)
-	conn := bgpsim.Dial(eng, spec, 7018)
 	speaker := bgpsim.NewSpeaker(eng, scfg)
 	speaker.Table = table
-	sess := speaker.AddSession(conn.RouterPeer, nil)
-	queued := -1
-	sess.OnTransferQueued = func(n, _ int) { queued = n }
-	host := bgpsim.NewCollectorHost(eng, bgpsim.CollectorConfig{TotalRate: sc.CollectorRate})
-	csess := host.AddSession(conn.CollectorPeer, 7018)
-	rec := newTruthRecorder()
-	rec.attach(conn, sess)
+	o := observe(eng, spec, speaker, nil,
+		bgpsim.NewCollectorHost(eng, bgpsim.CollectorConfig{TotalRate: sc.CollectorRate}))
 
 	// Run the initial transfer to completion.
-	const chunk = 5_000_000
-	for eng.Now() < sc.Horizon {
-		eng.Run(eng.Now() + chunk)
-		if queued >= 0 && len(csess.Archive()) >= queued {
-			break
-		}
-	}
+	o.runUntilArchived(sc.Horizon, 0)
 	eng.Run(eng.Now() + idleAfter)
 
 	// The failure: re-announce a slice of the table with changed paths.
@@ -487,51 +554,28 @@ func RunChurn(sc Scenario, idleAfter Micros, churnFrac float64) *ChurnTrace {
 		churn[i].Attrs = &attrs
 	}
 	ct := &ChurnTrace{ChurnStart: eng.Now()}
-	before := len(csess.Archive())
-	churnUpdates := 0
+	// The session is established, so the churn's updates go out on it
+	// directly: wait for them on top of what is archived already.
+	o.want = len(o.csess.Archive())
 	// The failure first withdraws the affected prefixes, then re-announces
 	// them with the post-failure paths.
 	withdrawn := make([]bgp.Prefix, len(churn))
 	for i, r := range churn {
 		withdrawn[i] = r.Prefix
 	}
-	if err := sess.EnqueueWithdrawals(withdrawn); err == nil {
+	if err := o.sess.EnqueueWithdrawals(withdrawn); err == nil {
 		if ups, err := bgp.PackWithdrawals(withdrawn); err == nil {
-			churnUpdates += len(ups)
+			o.want += len(ups)
 		}
 	}
-	if err := sess.EnqueueTable(churn); err == nil {
+	if err := o.sess.EnqueueTable(churn); err == nil {
 		// Count how many updates the churn packs into.
 		if ups, err := bgp.PackTable(churn); err == nil {
-			churnUpdates += len(ups)
+			o.want += len(ups)
 		}
 	}
-	for eng.Now() < sc.Horizon {
-		eng.Run(eng.Now() + chunk)
-		if len(csess.Archive()) >= before+churnUpdates {
-			eng.Run(eng.Now() + 1_000_000)
-			break
-		}
-	}
-
-	tr := &Trace{
-		Kind:        sc.Kind,
-		Captures:    conn.Sniffer().Captures(),
-		Archive:     csess.Archive(),
-		RouterStats: conn.RouterPeer.Endpoint().Stats(),
-		Truth:       rec.finish(eng.Now()),
-	}
-	for _, e := range tr.Archive {
-		if m, err := bgp.Parse(e.Raw); err == nil {
-			if u, ok := m.(*bgp.Update); ok {
-				tr.RoutesDelivered += len(u.NLRI)
-			}
-		}
-	}
-	if len(tr.Archive) > 0 {
-		tr.GroundDuration = tr.Archive[len(tr.Archive)-1].Time
-		ct.ChurnEnd = tr.GroundDuration
-	}
-	ct.Trace = tr
+	o.runUntilArchived(sc.Horizon, drainTail)
+	ct.Trace = o.trace(sc.Kind)
+	ct.ChurnEnd = ct.GroundDuration
 	return ct
 }

@@ -1,10 +1,17 @@
 package tracegen
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
+	"net/netip"
 	"testing"
 
 	"tdat/internal/bgp"
+	"tdat/internal/bgpsim"
+	"tdat/internal/mrt"
+	"tdat/internal/packet"
+	"tdat/internal/pcapio"
 )
 
 func TestTableProperties(t *testing.T) {
@@ -78,38 +85,126 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestKindStrings: every kind has its own name, ParseKind inverts String,
+// and an out-of-range kind is "unknown", which ParseKind rejects.
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindClean: "clean", KindPaced: "paced", KindSlowReceiver: "slow-receiver",
 		KindSmallWindow: "small-window", KindUpstreamLoss: "upstream-loss",
 		KindDownstreamLoss: "downstream-loss", KindBandwidth: "bandwidth",
-		KindZeroAckBug: "zero-ack-bug", Kind(99): "unknown",
+		KindZeroAckBug: "zero-ack-bug", KindHeavyTailApp: "heavy-tail-app",
+		KindBimodalApp: "bimodal-app", KindVaryingRate: "varying-rate",
+		KindFanout: "fanout", Kind(99): "unknown", Kind(-1): "unknown",
 	} {
 		if k.String() != want {
 			t.Errorf("Kind(%d) = %q", k, k.String())
 		}
+		got, err := ParseKind(want)
+		if want == "unknown" {
+			if err == nil {
+				t.Errorf("ParseKind(%q) = %v, want an error", want, got)
+			}
+		} else if err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", want, got, err, k)
+		}
 	}
 }
 
+// TestDatasetProfileGenerate: a profile's picks, each run with the
+// profile's overrides, make a dataset of complete transfers.
 func TestDatasetProfileGenerate(t *testing.T) {
 	p := ISPAQuagga(6, 3, 77)
-	var transfers []Transfer
-	p.Generate(func(tr Transfer) { transfers = append(transfers, tr) })
-	if len(transfers) != 6 {
-		t.Fatalf("generated %d transfers", len(transfers))
+	picks := p.Picks()
+	if len(picks) != 6 {
+		t.Fatalf("drew %d picks", len(picks))
 	}
-	for _, tr := range transfers {
-		if tr.Trace.RoutesDelivered == 0 {
-			t.Errorf("transfer %d delivered nothing", tr.Index)
+	for i, pk := range picks {
+		if pk.Index != i {
+			t.Errorf("pick %d has index %d", i, pk.Index)
 		}
-		if tr.Router.RTT < 2_000 || tr.Router.RTT > 30_000 {
-			t.Errorf("router RTT %d outside profile range", tr.Router.RTT)
+		if tr := RunWithProfile(pk.Scenario, p); tr.RoutesDelivered != pk.Router.Routes {
+			t.Errorf("transfer %d delivered %d of %d routes", i, tr.RoutesDelivered, pk.Router.Routes)
 		}
+		if pk.Router.RTT < 2_000 || pk.Router.RTT > 30_000 {
+			t.Errorf("router RTT %d outside profile range", pk.Router.RTT)
+		}
+	}
+}
+
+// TestTraceWritePcap: the pcap stream holds every capture at its capture
+// time and decodes back to the same packets.
+func TestTraceWritePcap(t *testing.T) {
+	tr := Run(Scenario{Kind: KindPaced, Seed: 12, Routes: 1_000})
+	var buf bytes.Buffer
+	if err := tr.WritePcap(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := pcapio.ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(tr.Captures) {
+		t.Fatalf("%d records for %d captures", len(recs), len(tr.Captures))
+	}
+	for i, rec := range recs {
+		c := tr.Captures[i]
+		var p packet.Packet
+		if err := packet.DecodeInto(rec.Data, &p); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if rec.TimeMicros != c.Time || p.TCP.Seq != c.Pkt.TCP.Seq || len(p.Payload) != len(c.Pkt.Payload) {
+			t.Fatalf("record %d: time %d seq %d len %d, want %d %d %d", i,
+				rec.TimeMicros, p.TCP.Seq, len(p.Payload), c.Time, c.Pkt.TCP.Seq, len(c.Pkt.Payload))
+		}
+	}
+}
+
+// TestTraceWriteMRT: the archive round-trips through MRT with the router
+// as peer and the collector as local end, read from the router's SYN
+// (fanout replicas do not move them), and several traces share one
+// writer.
+func TestTraceWriteMRT(t *testing.T) {
+	a := Run(Scenario{Kind: KindClean, Seed: 13, Routes: 800})
+	b := Run(Scenario{Kind: KindFanout, Seed: 14, Routes: 400, GroupMembers: 6})
+	var buf bytes.Buffer
+	mw := mrt.NewWriter(&buf)
+	for _, tr := range []*Trace{a, b} {
+		if err := tr.WriteMRT(mw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := mrt.ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]bgpsim.ArchiveEntry(nil), a.Archive...), b.Archive...)
+	if len(recs) != len(want) {
+		t.Fatalf("%d records for %d archived updates", len(recs), len(want))
+	}
+	router, collector := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
+	for i, r := range recs {
+		if r.PeerIP != router || r.LocalIP != collector {
+			t.Fatalf("record %d: peer %v local %v", i, r.PeerIP, r.LocalIP)
+		}
+		if r.TimeMicros != want[i].Time || r.PeerAS != want[i].PeerAS || !bytes.Equal(r.Raw, want[i].Raw) {
+			t.Fatalf("record %d differs from the archive", i)
+		}
+	}
+	// An archive with no capture to take the session's ends from is an
+	// error, not a record with made-up addresses.
+	if err := (&Trace{Archive: a.Archive}).WriteMRT(mrt.NewWriter(io.Discard)); err == nil {
+		t.Error("WriteMRT without a capture succeeded")
 	}
 }
 
 func TestRunPeerGroupGroundTruth(t *testing.T) {
-	pg := RunPeerGroup(3, 8_000, 1_000_000, 30_000_000)
+	pg := RunPeerGroup(3, 2, 8_000, 1_000_000, 30_000_000)
+	if len(pg.Members) != 2 || pg.Healthy != pg.Members[0] || pg.Faulty != pg.Members[1] {
+		t.Fatalf("members %d: healthy and faulty are not members 0 and 1", len(pg.Members))
+	}
 	if pg.Healthy.RoutesDelivered != 8_000 {
 		t.Errorf("healthy delivered %d", pg.Healthy.RoutesDelivered)
 	}
@@ -156,24 +251,30 @@ func TestRunChurnDeliversBurst(t *testing.T) {
 	}
 }
 
+// TestRunPeerGroupNAllMembersBlocked: with four members, every healthy
+// one waits out the vendor member's hold timer.
 func TestRunPeerGroupNAllMembersBlocked(t *testing.T) {
-	traces := RunPeerGroupN(60, 4, 8_000, 1_000_000, 30_000_000)
-	if len(traces) != 4 {
-		t.Fatalf("traces = %d", len(traces))
+	pg := RunPeerGroup(60, 4, 8_000, 1_000_000, 30_000_000)
+	traces := pg.Members
+	if len(traces) != 4 || pg.Faulty != traces[3] {
+		t.Fatalf("traces = %d, faulty is not the last", len(traces))
 	}
-	// Every healthy member (1..3) delivers the full table but only after
+	// Every healthy member (0..2) delivers the full table but only after
 	// the dead member's hold expiry (~31 s).
-	for i := 1; i < 4; i++ {
-		if traces[i].RoutesDelivered != 8_000 {
-			t.Errorf("member %d delivered %d", i, traces[i].RoutesDelivered)
+	for i, tr := range traces[:3] {
+		if tr.RoutesDelivered != 8_000 {
+			t.Errorf("member %d delivered %d", i, tr.RoutesDelivered)
 		}
-		if traces[i].GroundDuration < 25_000_000 {
+		if tr.GroundDuration < 25_000_000 {
 			t.Errorf("member %d finished at %.1fs without blocking",
-				i, float64(traces[i].GroundDuration)/1e6)
+				i, float64(tr.GroundDuration)/1e6)
+		}
+		if syn := tr.Captures[0].Pkt.IP.Dst; syn != netip.AddrFrom4([4]byte{10, 0, 0, byte(2 + i)}) {
+			t.Errorf("member %d dialed collector %v", i, syn)
 		}
 	}
 	// The dead member received only the pre-kill prefix (if any).
-	if traces[0].RoutesDelivered >= 8_000 {
-		t.Errorf("dead member delivered %d", traces[0].RoutesDelivered)
+	if pg.Faulty.RoutesDelivered >= 8_000 {
+		t.Errorf("dead member delivered %d", pg.Faulty.RoutesDelivered)
 	}
 }
