@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 
@@ -20,26 +21,32 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is main with its dependencies injected, so the golden test drives it
+// in-process with buffers for stdout and stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bgplot", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		connIdx  = flag.Int("conn", 0, "connection index to plot")
-		width    = flag.Int("width", 110, "plot width in columns")
-		height   = flag.Int("height", 20, "time-sequence plot height in rows")
-		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
+		connIdx  = fs.Int("conn", 0, "connection index to plot")
+		width    = fs.Int("width", 110, "plot width in columns")
+		height   = fs.Int("height", 20, "time-sequence plot height in rows")
+		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	)
-	flag.Parse()
-	if err := obs.InitLogging(os.Stderr, *logLevel); err != nil {
-		fmt.Fprintf(os.Stderr, "bgplot: %v\n", err)
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bgplot [flags] trace.pcap")
+	if err := obs.InitLogging(stderr, *logLevel); err != nil {
+		fmt.Fprintf(stderr, "bgplot: %v\n", err)
 		return 2
 	}
-	f, err := os.Open(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: bgplot [flags] trace.pcap")
+		return 2
+	}
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		slog.Error("opening trace", "err", err)
 		return 1
@@ -56,13 +63,13 @@ func run() int {
 		return 1
 	}
 	t := rep.Transfers[*connIdx]
-	fmt.Printf("connection %s -> %s (transfer %.2fs)\n\n",
+	fmt.Fprintf(stdout, "connection %s -> %s (transfer %.2fs)\n\n",
 		t.Conn.Sender, t.Conn.Receiver, float64(t.Duration())/1e6)
-	if err := asciiplot.TimeSequence(os.Stdout, t.Conn, *width, *height); err != nil {
+	if err := asciiplot.TimeSequence(stdout, t.Conn, *width, *height); err != nil {
 		slog.Error("rendering time-sequence plot", "err", err)
 		return 1
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	rows := []asciiplot.Row{
 		{Label: "Transmission", Set: t.Catalog.Get(series.Transmission)},
 		{Label: "Outstanding", Set: t.Catalog.Get(series.Outstanding)},
@@ -74,7 +81,7 @@ func run() int {
 		{Label: "ZeroAdvWindow", Set: t.Catalog.Get(series.ZeroAdvWindow)},
 		{Label: "BandwidthLimited", Set: t.Catalog.Get(series.BandwidthLimited)},
 	}
-	if err := asciiplot.Series(os.Stdout, t.Transfer, rows, *width); err != nil {
+	if err := asciiplot.Series(stdout, t.Transfer, rows, *width); err != nil {
 		slog.Error("rendering series lanes", "err", err)
 		return 1
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -70,6 +71,27 @@ func TestUnreadableCapture(t *testing.T) {
 		}
 		if _, err := os.Stat(archive); !os.IsNotExist(err) {
 			t.Errorf("%v: -o file left behind (stat err %v)", mode, err)
+		}
+	}
+}
+
+// TestWriteErrorExits1: both modes stop at their first failed MRT write and
+// exit 1 with "writing MRT", so -online never prints its summary.
+func TestWriteErrorExits1(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to write to")
+	}
+	for _, mode := range [][]string{nil, {"-online"}} {
+		var out, errBuf bytes.Buffer
+		args := append(mode, "-o", "/dev/full", goldenInputs[0].trace)
+		if code := run(args, &out, &errBuf); code != 1 {
+			t.Errorf("%v: exit = %d, want 1", mode, code)
+		}
+		if !strings.Contains(errBuf.String(), "writing MRT") {
+			t.Errorf("%v: stderr %q, want a writing MRT error", mode, errBuf.String())
+		}
+		if strings.Contains(out.String(), "online mode:") {
+			t.Errorf("%v: summary printed after a failed write:\n%s", mode, out.String())
 		}
 	}
 }

@@ -145,7 +145,7 @@ type dirKey struct {
 // packet and feeds each direction's streaming reassembler, which copies
 // the bytes it keeps. The output file is created once the first record has
 // been read (or the capture proved empty), so a capture with no readable
-// record leaves none behind.
+// record leaves none behind. The first failed MRT write ends the run.
 func runOnline(r io.Reader, stdout io.Writer, out string, verbose bool) int {
 	pr, err := pcapio.NewReader(r)
 	var rec pcapio.Record
@@ -176,6 +176,7 @@ func runOnline(r io.Reader, stdout io.Writer, out string, verbose bool) int {
 	streams := map[dirKey]*dirState{}
 	var p packet.Packet
 	skipped := 0
+	var writeErr error
 	for ; err == nil; err = pr.ReadInto(&rec) {
 		if err := packet.DecodeInto(rec.Data, &p); err != nil {
 			skipped++
@@ -198,8 +199,8 @@ func runOnline(r io.Reader, stdout io.Writer, out string, verbose bool) int {
 				if verbose {
 					fmt.Fprintf(stdout, "  %12d %s->%s %T\n", m.Time, src, dst, m.Msg)
 				}
-				if mw != nil {
-					_ = mw.Write(mrt.Record{
+				if mw != nil && writeErr == nil {
+					writeErr = mw.Write(mrt.Record{
 						TimeMicros: m.Time, PeerIP: src, LocalIP: dst, Raw: m.Raw,
 					})
 				}
@@ -213,6 +214,10 @@ func runOnline(r io.Reader, stdout io.Writer, out string, verbose bool) int {
 			fmt.Fprintf(stdout, "direction %v:%d -> %v:%d: %v (direction abandoned)\n",
 				p.IP.Src, p.TCP.SrcPort, p.IP.Dst, p.TCP.DstPort, err)
 			st.dead = true
+		}
+		if writeErr != nil {
+			slog.Error("writing MRT", "err", writeErr)
+			return 1
 		}
 	}
 	if err != io.EOF {

@@ -25,7 +25,7 @@ func TestGolden(t *testing.T) {
 		args []string
 	}{
 		{"paced", []string{"-kind", "paced", "-routes", "3000", "-seed", "3", "-o", "$DIR/paced.pcap", "-mrt", "$DIR/paced.mrt"}},
-		{"fanout", []string{"-kind", "fanout", "-routes", "600", "-members", "12", "-slow-members", "2", "-seed", "4", "-o", "$DIR/fanout.pcap", "-mrt", "$DIR/fanout.mrt"}},
+		{"fanout", []string{"-kind", "fanout", "-routes", "600", "-members", "12", "-seed", "4", "-o", "$DIR/fanout.pcap", "-mrt", "$DIR/fanout.mrt"}},
 		{"dataset", []string{"-dataset", "routeviews", "-n", "3", "-seed", "5", "-outdir", "$DIR/ds"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -78,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		burst    = fs.String("burst-loss", "", "Gilbert-Elliott burst loss for the loss kinds as pGoodBad,pBadGood,dropBad (e.g. 0.05,0.25,0.9)")
 		members  = fs.Int("members", 0, "fanout peer-group size")
 		slack    = fs.Int("slack", 0, "fanout peer-group slack bound, updates")
-		slowMem  = fs.Int("slow-members", 0, "fanout members running throttled collectors")
 		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -108,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PacingTimer: *timer, PacingBudget: *budget, Stack: st,
 		LossRate: *lossRate, RateProfile: *profile, RateLow: *rateLow,
 		RatePeriod: tracegen.Micros(*ratePer), GroupMembers: *members,
-		GroupSlack: *slack, SlowMembers: *slowMem,
+		GroupSlack: *slack,
 	}
 	if *rate > 0 {
 		sc.CollectorRate = *rate

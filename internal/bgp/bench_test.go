@@ -7,14 +7,14 @@ import (
 )
 
 // tracegenTable is tracegen.Table, copied here because tracegen imports
-// this package: n routes with one attribute set per routesPerGroup
-// consecutive routes, 2–7 hop AS paths, a MED on one set in three, and
-// masked /16s, /20s, /22s and /24s in tracegen's mix.
-func tracegenTable(rnd *rand.Rand, n, routesPerGroup int) []Route {
+// this package: n routes with one attribute set per four consecutive
+// routes, 2–7 hop AS paths, a MED on one set in three, and masked /16s,
+// /20s, /22s and /24s in tracegen's mix.
+func tracegenTable(rnd *rand.Rand, n int) []Route {
 	routes := make([]Route, 0, n)
 	var attrs *PathAttrs
 	for i := 0; i < n; i++ {
-		if i%routesPerGroup == 0 || attrs == nil {
+		if i%4 == 0 || attrs == nil {
 			path := make([]uint16, 2+rnd.Intn(6))
 			for j := range path {
 				path[j] = uint16(rnd.Intn(64000) + 1)
@@ -48,7 +48,7 @@ func tracegenTable(rnd *rand.Rand, n, routesPerGroup int) []Route {
 // router sends it, 75,000 UPDATEs of 4 prefixes each, every one with its
 // own attribute set.
 func BenchmarkScanStream(b *testing.B) {
-	ups, err := PackTable(tracegenTable(rand.New(rand.NewSource(1)), 300_000, 4))
+	ups, err := PackTable(tracegenTable(rand.New(rand.NewSource(1)), 300_000))
 	if err != nil {
 		b.Fatal(err)
 	}

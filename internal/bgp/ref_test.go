@@ -362,7 +362,7 @@ func FuzzUpdateReference(f *testing.F) {
 	good := goodUpdate(f)[HeaderLen:]
 	seed(0, good)
 	seed(4, append(good, 0xFF, 0xFF, 0xFF, 0xFF))
-	ups, err := PackTable(tracegenTable(rand.New(rand.NewSource(2)), 40, 4))
+	ups, err := PackTable(tracegenTable(rand.New(rand.NewSource(2)), 40))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -235,7 +235,7 @@ func TestPeerGroupLockstep(t *testing.T) {
 
 	hostA := NewCollectorHost(eng, CollectorConfig{})
 	csessA := hostA.AddSession(connA.CollectorPeer, 7018)
-	hostB := NewCollectorHost(eng, CollectorConfig{Kind: KindVendor})
+	hostB := NewCollectorHost(eng, CollectorConfig{})
 	hostB.AddSession(connB.CollectorPeer, 7018)
 
 	// Kill collector B one second into the transfer.

@@ -5,22 +5,8 @@ import (
 	"tdat/internal/sim"
 )
 
-// CollectorKind distinguishes the two collector deployments in the paper's
-// Table I.
-type CollectorKind int
-
-// Collector kinds.
-const (
-	// KindQuagga archives MRT (the PC-based Quagga monitor).
-	KindQuagga CollectorKind = iota
-	// KindVendor is the looking-glass router: no MRT archive, so transfer
-	// boundaries must be recovered from the packet trace via pcap2bgp.
-	KindVendor
-)
-
 // CollectorConfig parameterizes a collector host.
 type CollectorConfig struct {
-	Kind CollectorKind
 	// ProcessInterval is how often the BGP process is scheduled to drain
 	// its TCP sockets (default 20 ms).
 	ProcessInterval Micros
@@ -61,9 +47,6 @@ type CollectorHost struct {
 func NewCollectorHost(eng *sim.Engine, cfg CollectorConfig) *CollectorHost {
 	return &CollectorHost{eng: eng, cfg: cfg.withDefaults()}
 }
-
-// Kind returns the collector flavor.
-func (h *CollectorHost) Kind() CollectorKind { return h.cfg.Kind }
 
 // CollectorSession is one router-facing session on the host.
 type CollectorSession struct {

@@ -2,7 +2,6 @@ package bgpsim
 
 import (
 	"math/rand"
-	"net/netip"
 
 	"tdat/internal/bgp"
 	"tdat/internal/dist"
@@ -32,7 +31,6 @@ type AppProfile struct {
 // SpeakerConfig parameterizes an operational router.
 type SpeakerConfig struct {
 	AS uint16
-	ID netip.Addr
 
 	// HoldTime and KeepaliveInterval are the BGP session timers
 	// (defaults 180 s / 60 s).

@@ -9,14 +9,13 @@ import (
 	"tdat/internal/tcpsim"
 )
 
-// ConnSpec describes one router↔collector connection: the TCP parameters of
-// both ends and the path between them (the sniffer sits at the collector
-// side, per the paper's Figure 2).
+// ConnSpec describes one router↔collector connection: the addresses and TCP
+// parameters of both ends and the path between them (the sniffer sits at
+// the collector side, per the paper's Figure 2). The router's end takes the
+// BGP port 179 and the collector's end port 41000.
 type ConnSpec struct {
 	RouterAddr    netip.Addr
-	RouterPort    uint16
 	CollectorAddr netip.Addr
-	CollectorPort uint16
 
 	RouterTCP    tcpsim.Config // Addr/Port fields are filled in
 	CollectorTCP tcpsim.Config
@@ -40,15 +39,9 @@ func (c *Conn) Sniffer() *netem.Sniffer { return c.Path.Sniffer }
 // before running the engine.
 func Dial(eng *sim.Engine, spec ConnSpec, routerAS uint16) *Conn {
 	rcfg := spec.RouterTCP
-	rcfg.Addr, rcfg.Port = spec.RouterAddr, spec.RouterPort
-	if rcfg.Port == 0 {
-		rcfg.Port = 179
-	}
+	rcfg.Addr, rcfg.Port = spec.RouterAddr, 179
 	ccfg := spec.CollectorTCP
-	ccfg.Addr, ccfg.Port = spec.CollectorAddr, spec.CollectorPort
-	if ccfg.Port == 0 {
-		ccfg.Port = 41000
-	}
+	ccfg.Addr, ccfg.Port = spec.CollectorAddr, 41000
 
 	var routerEP, collectorEP *tcpsim.Endpoint
 	path := netem.NewPath(eng, spec.Path,

@@ -61,7 +61,8 @@ func DefaultScale() Scale {
 
 // FullScale is the paper-exact dataset size (Table I: 10396/436/94
 // transfers). The suite takes ~10 minutes and a few GB on one core;
-// RunDataset strips packet payloads after analysis to keep that bounded.
+// RunDatasetWorkers strips packet payloads after analysis to keep that
+// bounded.
 func FullScale() Scale {
 	return Scale{
 		VendorTransfers: 10396, VendorRouters: 24,
@@ -105,18 +106,14 @@ type Dataset struct {
 	Transfers []AnalyzedTransfer
 }
 
-// RunDataset generates and analyzes one dataset profile on a GOMAXPROCS-
-// wide worker pool. Quagga-style profiles (UseArchive) pin the transfer
-// end from the collector's BGP archive, vendor-style ones recover it from
-// the packet payload via reassembly — the two pipelines of paper §II-A.
-func RunDataset(p tracegen.DatasetProfile) *Dataset {
-	return RunDatasetWorkers(p, 0)
-}
-
-// RunDatasetWorkers is RunDataset with an explicit worker count (0 means
-// GOMAXPROCS). Transfers are drawn sequentially (tracegen.Picks), then
-// each pick's simulate+analyze runs on the pool; results merge in pick
-// order, so the dataset is identical for every worker count.
+// RunDatasetWorkers generates and analyzes one dataset profile on a pool
+// of workers goroutines (0 means GOMAXPROCS). Quagga-style profiles
+// (UseArchive) pin the transfer end from the collector's BGP archive,
+// vendor-style ones recover it from the packet payload via reassembly —
+// the two pipelines of paper §II-A. Transfers are drawn sequentially
+// (tracegen.Picks), then each pick's simulate+analyze runs on the pool;
+// results merge in pick order, so the dataset is identical for every
+// worker count.
 func RunDatasetWorkers(p tracegen.DatasetProfile, workers int) *Dataset {
 	ds := &Dataset{Name: p.Name, Profile: p}
 	// Transfers parallelize across the pool; each transfer is a single

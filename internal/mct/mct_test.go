@@ -463,7 +463,7 @@ func oddKey(rnd *rand.Rand) uint64 {
 func largeStream(n int, seed int64, shuffled bool) []Update {
 	rnd := rand.New(rand.NewSource(seed))
 	keys := make([]uint64, n)
-	for i, r := range tracegen.Table(rnd, n, 4) {
+	for i, r := range tracegen.Table(rnd, n) {
 		keys[i] = bgp.PrefixKey(r.Prefix)
 		if rnd.Intn(50) == 0 {
 			keys[i] = oddKey(rnd)

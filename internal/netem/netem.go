@@ -208,26 +208,20 @@ func LossEpisodes(windows ...timerange.Range) LossFunc {
 
 // PathConfig describes one direction of a sender→sniffer→receiver path.
 type PathConfig struct {
-	// Upstream is the Sender→Sniffer segment (most of the network path).
+	// Upstream is the Sender→Sniffer segment (most of the network path),
+	// with an unlimited queue.
 	UpstreamRate  int64
 	UpstreamDelay sim.Micros
-	UpstreamQueue int
 	UpstreamLoss  float64
 	UpstreamHook  LossFunc
 	// UpstreamSchedule overrides UpstreamRate with a time-varying
 	// capacity profile (see RateSchedule).
 	UpstreamSchedule *RateSchedule
 	// Downstream is the Sniffer→Receiver segment (local link / receiver
-	// interface).
-	DownstreamRate  int64
+	// interface), with unlimited rate and queue.
 	DownstreamDelay sim.Micros
-	DownstreamQueue int
 	DownstreamLoss  float64
 	DownstreamHook  LossFunc
-	// AckLoss applies to the reverse (receiver→sender) path. It is NOT
-	// coupled to the data-direction loss: ACKs are small and in practice
-	// survive congestion that drops data packets.
-	AckLoss float64
 }
 
 // Path wires a bidirectional sender↔receiver path with a sniffer co-located
@@ -253,12 +247,12 @@ type Path struct {
 // sendIn. The ACK direction shares the upstream characteristics (reverse
 // path) with no downstream segment of its own: the sniffer sits on the
 // receiver's LAN, so receiver→sniffer delay is negligible by construction.
+// It loses nothing, whatever the data direction drops: ACKs are small and
+// in practice survive congestion that drops data packets.
 func NewPath(eng *sim.Engine, cfg PathConfig, recvIn, sendIn Handler) *Path {
 	sn := NewSniffer(eng)
 	down := NewLink(eng, recvIn)
-	down.Rate = cfg.DownstreamRate
 	down.Delay = cfg.DownstreamDelay
-	down.QueueCap = cfg.DownstreamQueue
 	down.LossRate = cfg.DownstreamLoss
 	down.LossHook = cfg.DownstreamHook
 
@@ -266,14 +260,12 @@ func NewPath(eng *sim.Engine, cfg PathConfig, recvIn, sendIn Handler) *Path {
 	up.Rate = cfg.UpstreamRate
 	up.Schedule = cfg.UpstreamSchedule
 	up.Delay = cfg.UpstreamDelay
-	up.QueueCap = cfg.UpstreamQueue
 	up.LossRate = cfg.UpstreamLoss
 	up.LossHook = cfg.UpstreamHook
 
 	ack := NewLink(eng, sendIn)
 	ack.Rate = cfg.UpstreamRate
 	ack.Delay = cfg.UpstreamDelay + cfg.DownstreamDelay
-	ack.LossRate = cfg.AckLoss
 
 	return &Path{
 		DataIn:         up.Send,

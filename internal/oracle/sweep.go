@@ -14,7 +14,7 @@ import (
 )
 
 // Config tunes the validation sweep. The zero value selects the full
-// default sweep with the documented tolerances.
+// default sweep.
 type Config struct {
 	// Seed offsets every scenario seed, so CI can rotate inputs.
 	Seed int64
@@ -41,22 +41,6 @@ type Config struct {
 	// sweep many times and only examine the base grid set this to stay
 	// fast. It never changes the embedded Reno scorecard.
 	NoDimensions bool
-
-	// IntervalTolMicros is the base interval-matching tolerance (default
-	// 25 ms); the effective per-run tolerance is max(base, 4×RTT) capped at
-	// RTT+200 ms, since every passive inference dates events from wire
-	// arrivals that trail the simulator's internal instant by propagation
-	// and ACK latency. The cap matters on very-long-delay paths: at 500 ms+
-	// RTT an uncapped 4×RTT window (2 s+) would absorb whole stall episodes
-	// and make the interval scores vacuously perfect.
-	IntervalTolMicros Micros
-	// LossTolMicros is the loss-event tolerance (default 4 s): an
-	// RTO-repaired drop becomes visible only at the retransmission, one
-	// backed-off RTO (MinRTO 1 s, doubling) after the drop. On paths with
-	// RTT above 100 ms the effective tolerance grows by 4×(RTT−100 ms) —
-	// RTO itself is RTT-proportional once it exceeds MinRTO, so a fixed
-	// window would misscore genuine repairs as spurious at 500 ms+ RTT.
-	LossTolMicros Micros
 }
 
 func (c Config) withDefaults() Config {
@@ -66,36 +50,41 @@ func (c Config) withDefaults() Config {
 			c.Routes = 4_000
 		}
 	}
-	if c.IntervalTolMicros == 0 {
-		c.IntervalTolMicros = 25_000
-	}
-	if c.LossTolMicros == 0 {
-		c.LossTolMicros = 4_000_000
-	}
 	return c
 }
 
+// The scorer's base tolerances. baseIntervalTol (25 ms) is the
+// interval-matching tolerance: every passive inference dates events from
+// wire arrivals that trail the simulator's internal instant by propagation
+// and ACK latency. baseLossTol (4 s) is the loss-event tolerance: an
+// RTO-repaired drop becomes visible only at the retransmission, one
+// backed-off RTO (minimum 1 s, doubling) after the drop.
+const (
+	baseIntervalTol Micros = 25_000
+	baseLossTol     Micros = 4_000_000
+)
+
 // intervalTol returns the effective interval tolerance for a scenario:
-// max(base, 4×RTT), capped at RTT+200 ms so long-delay paths keep a
-// meaningful matching window (see Config.IntervalTolMicros). The cap is
-// inactive below 100 ms RTT, leaving the historical grid byte-identical.
-func (c Config) intervalTol(sc tracegen.Scenario) Micros {
+// max(baseIntervalTol, 4×RTT), capped at RTT+200 ms. The cap matters on
+// very-long-delay paths: at 500 ms+ RTT an uncapped 4×RTT window (2 s+)
+// would absorb whole stall episodes and make the interval scores
+// vacuously perfect. It is inactive below 100 ms RTT, leaving the
+// historical grid byte-identical.
+func intervalTol(sc tracegen.Scenario) Micros {
 	t := 4 * sc.RTT
 	if t > sc.RTT+200_000 {
 		t = sc.RTT + 200_000
 	}
-	if t > c.IntervalTolMicros {
-		return t
-	}
-	return c.IntervalTolMicros
+	return max(t, baseIntervalTol)
 }
 
-// lossTol returns the effective loss-event tolerance for a scenario: the
-// base window plus 4×(RTT−100 ms) on long-delay paths, since RTO repair
-// latency scales with RTT once above MinRTO. Below 100 ms RTT this is
-// exactly the base, leaving the historical grid byte-identical.
-func (c Config) lossTol(sc tracegen.Scenario) Micros {
-	t := c.LossTolMicros
+// lossTol returns the effective loss-event tolerance for a scenario:
+// baseLossTol plus 4×(RTT−100 ms) on long-delay paths, since RTO repair
+// latency scales with RTT once above the 1 s minimum RTO; a fixed window
+// would misscore genuine repairs as spurious at 500 ms+ RTT. Below 100 ms
+// RTT this is exactly the base, leaving the historical grid byte-identical.
+func lossTol(sc tracegen.Scenario) Micros {
+	t := baseLossTol
 	if sc.RTT > 100_000 {
 		t += 4 * (sc.RTT - 100_000)
 	}
@@ -307,7 +296,7 @@ func DimensionCases(cfg Config) []Case {
 	}
 	add("fanout", "members-120", tracegen.Scenario{Kind: tracegen.KindFanout, Seed: 65}, nil)
 	add("fanout", "members-240",
-		tracegen.Scenario{Kind: tracegen.KindFanout, Seed: 67, GroupMembers: 240, SlowMembers: 8}, nil)
+		tracegen.Scenario{Kind: tracegen.KindFanout, Seed: 67, GroupMembers: 240}, nil)
 	return out
 }
 
@@ -368,8 +357,7 @@ func (v *validator) scoreCase(c Case) []string {
 	w := t.Transfer
 	truth := tr.Truth
 	sc := c.Scenario.WithDefaults()
-	tol := v.cfg.intervalTol(sc)
-	lossTol := v.cfg.lossTol(sc)
+	tol, eventTol := intervalTol(sc), lossTol(sc)
 
 	// Interval series vs truth sets; each case scores locally first so the
 	// outcome can carry its own F1 breakdown.
@@ -407,13 +395,13 @@ func (v *validator) scoreCase(c Case) []string {
 	// Loss events vs recovery intervals.
 	event := func(name string, acc *eventAccum, inferred *timerange.Set, events []Micros) {
 		var local eventAccum
-		local.add(inferred, events, lossTol, w)
+		local.add(inferred, events, eventTol, w)
 		if local.runs > 0 {
 			caseF1[name] = local.score().F1
 		}
 		acc.merge(local)
 		if v.cfg.Explain && local.runs > 0 {
-			diffs = append(diffs, diffSeries(name, local.score().F1, inferred, eventSet(events, w), lossTol, w))
+			diffs = append(diffs, diffSeries(name, local.score().F1, inferred, eventSet(events, w), eventTol, w))
 		}
 	}
 	event("upstream-loss", &v.upLoss, t.Catalog.Get(series.UpstreamLoss), truth.UpstreamDrops)

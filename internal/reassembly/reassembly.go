@@ -214,6 +214,10 @@ func (l *linearizer) linearize(c *flows.Connection, maxBytes int64, res *Result)
 	res.LooksLikeBGP = len(stream) >= len(bgpMarker) && bytes.Equal(stream[:len(bgpMarker)], bgpMarker)
 }
 
+// bgpMarker is the all-ones synchronization marker opening every BGP
+// message header.
+var bgpMarker = bytes.Repeat([]byte{0xFF}, 16)
+
 // spanCursor stamps stream positions with linearize's spans. The spans are
 // sorted by end and both callers ask for increasing positions, so the
 // cursor advances one index rather than searching.

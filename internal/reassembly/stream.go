@@ -1,7 +1,6 @@
 package reassembly
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -23,17 +22,8 @@ const DefaultStreamLimit = 4 << 20
 // BGP message as soon as the bytes completing it arrive, tolerating
 // out-of-order delivery and retransmissions.
 type Stream struct {
-	emit func(Message)
-	// Limit bounds buffered bytes (0 selects DefaultStreamLimit).
-	Limit int
-	// Evict selects the lenient over-limit policy: instead of failing with
-	// ErrBufferLimit, the stream abandons its oldest hole — the partial
-	// message stalled in front of it and the skipped sequence range are
-	// discarded, decoding resynchronizes at the next BGP marker, and the
-	// damage is tallied in Evicted. Framing errors (a message header lying
-	// about its length) resynchronize the same way. Off by default, so
-	// existing fail-fast callers are unchanged.
-	Evict bool
+	emit  func(Message)
+	limit int // buffered bytes allowed: DefaultStreamLimit, lowered by tests
 
 	haveISN bool
 	isn     uint32
@@ -41,21 +31,11 @@ type Stream struct {
 	ooo     map[int64][]byte // out-of-order segments by offset
 	oooLen  int
 	buf     []byte // contiguous bytes not yet framed
-
-	evictions    int
-	evictedBytes int64
-}
-
-// Evicted reports the lenient-mode damage tally: how many times the stream
-// abandoned a hole or resynchronized past corrupt framing, and how many
-// stream bytes were discarded doing so. Both stay zero unless Evict is set.
-func (s *Stream) Evicted() (events int, streamBytes int64) {
-	return s.evictions, s.evictedBytes
 }
 
 // NewStream creates a Stream delivering completed messages to emit.
 func NewStream(emit func(Message)) *Stream {
-	return &Stream{emit: emit, ooo: map[int64][]byte{}}
+	return &Stream{emit: emit, limit: DefaultStreamLimit, ooo: map[int64][]byte{}}
 }
 
 // Packet feeds one sender-direction packet captured at time t. A SYN pins
@@ -93,21 +73,9 @@ func (s *Stream) segment(t timerange.Micros, off int64, payload []byte) error {
 		}
 		s.ooo[off] = append(held, payload[len(held):]...)
 		s.oooLen += len(payload) - len(held)
-		if s.oooLen+len(s.buf) > s.limit() {
-			if !s.Evict {
-				return fmt.Errorf("%w: %d bytes held at a hole before offset %d",
-					ErrBufferLimit, s.oooLen, s.next)
-			}
-			// Abandon holes oldest-first until buffering fits again; each
-			// round frees the skipped range plus whatever frames out of
-			// the segments the skip made contiguous.
-			for s.oooLen+len(s.buf) > s.limit() && s.oooLen > 0 {
-				s.evictOldestHole()
-				s.drain()
-				if err := s.frame(t); err != nil {
-					return err
-				}
-			}
+		if s.oooLen+len(s.buf) > s.limit {
+			return fmt.Errorf("%w: %d bytes held at a hole before offset %d",
+				ErrBufferLimit, s.oooLen, s.next)
 		}
 		return nil
 	}
@@ -144,92 +112,22 @@ func (s *Stream) drain() {
 	}
 }
 
-// evictOldestHole abandons the stream in front of the oldest held segment:
-// the un-framed partial message in buf can never complete (its missing
-// bytes are exactly the hole being given up on), so it is discarded along
-// with the skipped sequence range, and the stream resumes at the earliest
-// held offset.
-func (s *Stream) evictOldestHole() {
-	min := int64(-1)
-	for o := range s.ooo {
-		if min < 0 || o < min {
-			min = o
-		}
-	}
-	if min < s.next {
-		return
-	}
-	s.evictions++
-	s.evictedBytes += (min - s.next) + int64(len(s.buf))
-	s.buf = s.buf[:0]
-	s.next = min
-}
-
-// bgpMarker is the all-ones synchronization marker opening every BGP
-// message header — the resync point lenient framing hunts for.
-var bgpMarker = bytes.Repeat([]byte{0xFF}, 16)
-
-// frame splits completed BGP messages out of the contiguous buffer. With
-// Evict set, corrupt framing (a header lying about its length, or a buffer
-// that resumed mid-message after a hole eviction) resynchronizes at the
-// next marker instead of failing.
+// frame splits completed BGP messages out of the contiguous buffer.
 func (s *Stream) frame(t timerange.Micros) error {
-	for {
-		msgs, consumed, err := bgp.SplitStream(s.buf)
-		off := 0
-		for _, m := range msgs {
-			length := int(uint16(s.buf[off+16])<<8 | uint16(s.buf[off+17]))
-			raw := append([]byte(nil), s.buf[off:off+length]...)
-			off += length
-			s.emit(Message{Time: t, Msg: m, Raw: raw})
-		}
-		s.buf = append(s.buf[:0], s.buf[consumed:]...)
-		if err == nil {
-			break
-		}
-		if !s.Evict {
-			return fmt.Errorf("reassembly: online framing: %w", err)
-		}
-		s.resync()
+	msgs, consumed, err := bgp.SplitStream(s.buf)
+	off := 0
+	for _, m := range msgs {
+		length := int(uint16(s.buf[off+16])<<8 | uint16(s.buf[off+17]))
+		raw := append([]byte(nil), s.buf[off:off+length]...)
+		off += length
+		s.emit(Message{Time: t, Msg: m, Raw: raw})
 	}
-	if !s.Evict && len(s.buf)+s.oooLen > s.limit() {
+	s.buf = append(s.buf[:0], s.buf[consumed:]...)
+	if err != nil {
+		return fmt.Errorf("reassembly: online framing: %w", err)
+	}
+	if len(s.buf)+s.oooLen > s.limit {
 		return fmt.Errorf("%w: %d undecodable bytes buffered", ErrBufferLimit, len(s.buf))
 	}
 	return nil
-}
-
-// resync discards buffered bytes up to the next plausible message boundary,
-// counting them as evicted: the message they belonged to can no longer be
-// trusted. The damaged message's own (valid) marker is skipped before
-// hunting, and a trailing partial run of marker bytes is kept in case the
-// next boundary is split across packets.
-func (s *Stream) resync() {
-	s.evictions++
-	search := s.buf
-	if len(search) >= len(bgpMarker) && bytes.Equal(search[:len(bgpMarker)], bgpMarker) {
-		search = search[len(bgpMarker):]
-	}
-	drop := len(s.buf)
-	if i := bytes.Index(search, bgpMarker); i >= 0 {
-		drop = len(s.buf) - len(search) + i
-	} else {
-		run := 0
-		for run < len(bgpMarker)-1 && run < len(s.buf) && s.buf[len(s.buf)-1-run] == 0xFF {
-			run++
-		}
-		drop = len(s.buf) - run
-	}
-	s.evictedBytes += int64(drop)
-	s.buf = append(s.buf[:0], s.buf[drop:]...)
-}
-
-// PendingHole reports whether the stream is stalled behind a sequence hole
-// and how many bytes wait beyond it.
-func (s *Stream) PendingHole() (bool, int) { return s.oooLen > 0, s.oooLen }
-
-func (s *Stream) limit() int {
-	if s.Limit > 0 {
-		return s.Limit
-	}
-	return DefaultStreamLimit
 }

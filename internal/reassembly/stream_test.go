@@ -19,7 +19,7 @@ func feedStream(t *testing.T, sender flows.Endpoint, pkts []flows.TimedPacket) (
 	t.Helper()
 	var msgs []Message
 	s := NewStream(func(m Message) { msgs = append(msgs, m) })
-	s.Limit = math.MaxInt
+	s.limit = math.MaxInt
 	for _, tp := range pkts {
 		if tp.Pkt.IP.Src != sender.Addr || tp.Pkt.TCP.SrcPort != sender.Port {
 			continue
@@ -100,9 +100,8 @@ func TestStreamReportsPendingHole(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stalled, held := s.PendingHole()
-	if !stalled || held == 0 {
-		t.Errorf("stalled=%v held=%d", stalled, held)
+	if s.oooLen == 0 {
+		t.Error("no bytes held behind the hole")
 	}
 }
 
@@ -110,7 +109,7 @@ func TestStreamBufferLimit(t *testing.T) {
 	stream := bgpStream(t, 60)
 	pkts := packetsFor(stream, 100, func(i int) flows.Micros { return flows.Micros(i) })
 	s := NewStream(func(Message) {})
-	s.Limit = 512
+	s.limit = 512
 	// Pin the ISN with a SYN so the skipped first segment leaves a real
 	// hole that everything else queues behind.
 	syn := &packet.Packet{
@@ -247,92 +246,4 @@ func FuzzLinearize(f *testing.F) {
 		}
 		matchesStream(t, capture(stream, true, pcs))
 	})
-}
-
-func TestStreamEvictAbandonsOldestHole(t *testing.T) {
-	// Same permanent-hole flood as TestStreamBufferLimit, but with the
-	// lenient policy: rather than failing, the stream abandons the hole,
-	// resynchronizes at the next BGP marker, and keeps emitting.
-	stream := bgpStream(t, 60)
-	pkts := packetsFor(stream, 100, func(i int) flows.Micros { return flows.Micros(i) })
-	var msgs []Message
-	s := NewStream(func(m Message) { msgs = append(msgs, m) })
-	s.Limit = 512
-	s.Evict = true
-	syn := &packet.Packet{
-		IP:  packet.IPv4{Src: sndEP.Addr, Dst: rcvEP.Addr},
-		TCP: packet.TCP{SrcPort: sndEP.Port, DstPort: rcvEP.Port, Seq: 1000, Flags: packet.FlagSYN},
-	}
-	if err := s.Packet(0, syn); err != nil {
-		t.Fatal(err)
-	}
-	for i, tp := range pkts {
-		if i == 0 {
-			continue // hole at the very front: everything queues behind it
-		}
-		if err := s.Packet(tp.Time, tp.Pkt); err != nil {
-			t.Fatalf("lenient stream failed: %v", err)
-		}
-	}
-	if len(msgs) == 0 {
-		t.Error("no messages recovered past the abandoned hole")
-	}
-	events, lost := s.Evicted()
-	if events == 0 || lost == 0 {
-		t.Errorf("eviction not tallied: events=%d bytes=%d", events, lost)
-	}
-	if held, n := s.PendingHole(); held && n+len(stream) > 512+100 {
-		t.Errorf("buffering still unbounded after eviction: %d held", n)
-	}
-}
-
-func TestStreamEvictResyncsPastCorruptLength(t *testing.T) {
-	// A message header lying about its length mid-stream: lenient framing
-	// must skip to the next marker and recover the messages after it.
-	stream := bgpStream(t, 10)
-	stream[16] = 0xFF // first message now claims length 0xFF.. (> 4096)
-	stream[17] = 0xF0
-	var msgs []Message
-	s := NewStream(func(m Message) { msgs = append(msgs, m) })
-	s.Evict = true
-	p := &packet.Packet{
-		IP:      packet.IPv4{Src: sndEP.Addr, Dst: rcvEP.Addr},
-		TCP:     packet.TCP{SrcPort: sndEP.Port, DstPort: rcvEP.Port, Seq: 1001, Flags: packet.FlagACK},
-		Payload: stream,
-	}
-	if err := s.Packet(1, p); err != nil {
-		t.Fatalf("lenient stream failed: %v", err)
-	}
-	if len(msgs) == 0 {
-		t.Error("no messages recovered after the corrupt header")
-	}
-	events, lost := s.Evicted()
-	if events == 0 || lost == 0 {
-		t.Errorf("resync not tallied: events=%d bytes=%d", events, lost)
-	}
-}
-
-func TestStreamEvictGarbageNeverFails(t *testing.T) {
-	// Pure garbage under the lenient policy: nothing decodes, nothing
-	// panics, nothing errors, and buffering stays bounded.
-	s := NewStream(func(Message) {})
-	s.Limit = 256
-	s.Evict = true
-	for i := 0; i < 64; i++ {
-		payload := make([]byte, 64)
-		for j := range payload {
-			payload[j] = byte(i*7 + j)
-		}
-		p := &packet.Packet{
-			IP:      packet.IPv4{Src: sndEP.Addr, Dst: rcvEP.Addr},
-			TCP:     packet.TCP{Seq: uint32(1001 + i*64), Flags: packet.FlagACK},
-			Payload: payload,
-		}
-		if err := s.Packet(flows.Micros(i), p); err != nil {
-			t.Fatalf("lenient stream failed on garbage: %v", err)
-		}
-	}
-	if events, _ := s.Evicted(); events == 0 {
-		t.Error("garbage stream produced no resync events")
-	}
 }

@@ -108,7 +108,6 @@ func newCongestionControl(cfg Config) CongestionControl {
 // pre-extraction send.go ran, so simulator output is byte-identical.
 type renoCC struct {
 	cwnd, ssthresh float64
-	maxCwnd        float64
 	inRecovery     bool
 }
 
@@ -117,9 +116,8 @@ func (r *renoCC) Name() string { return "reno" }
 
 // Init implements CongestionControl.
 func (r *renoCC) Init(cfg Config) {
-	r.cwnd = float64(cfg.InitialCwnd * cfg.MSS)
-	r.ssthresh = float64(cfg.InitialSsthresh)
-	r.maxCwnd = float64(cfg.MaxCwnd)
+	r.cwnd = float64(initialCwnd * cfg.MSS)
+	r.ssthresh = initialSsthresh
 }
 
 // Cwnd implements CongestionControl.
@@ -127,13 +125,6 @@ func (r *renoCC) Cwnd() float64 { return r.cwnd }
 
 // InRecovery implements CongestionControl.
 func (r *renoCC) InRecovery() bool { return r.inRecovery }
-
-// clamp caps cwnd at the configured maximum (0 = unbounded).
-func (r *renoCC) clamp() {
-	if r.maxCwnd > 0 && r.cwnd > r.maxCwnd {
-		r.cwnd = r.maxCwnd
-	}
-}
 
 // OnAck implements CongestionControl.
 func (r *renoCC) OnAck(ev AckInfo) {
@@ -155,7 +146,6 @@ func (r *renoCC) OnAck(ev AckInfo) {
 	} else {
 		r.cwnd += credit * float64(ev.MSS) / r.cwnd // congestion avoidance
 	}
-	r.clamp()
 }
 
 // OnDupAck implements CongestionControl.
@@ -166,11 +156,9 @@ func (r *renoCC) OnDupAck(ev AckInfo) Reaction {
 		r.ssthresh = maxf(flight/2, float64(2*ev.MSS))
 		r.cwnd = r.ssthresh + float64(3*ev.MSS)
 		r.inRecovery = true
-		r.clamp()
 		return ReactFastRetransmit
 	case ev.DupAcks > 3 && r.inRecovery:
 		r.cwnd += float64(ev.MSS) // window inflation per extra dup ACK
-		r.clamp()
 	}
 	return ReactNone
 }

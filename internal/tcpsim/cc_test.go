@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"tdat/internal/netem"
@@ -11,12 +12,10 @@ import (
 
 // ---- Metamorphic properties, driven directly against the strategies ----
 
-// ccUnderTest builds a fresh strategy for the stack with the test MSS and
-// window cap applied.
-func ccUnderTest(t *testing.T, s Stack, maxCwnd int) CongestionControl {
+// ccUnderTest builds a fresh strategy for the stack with the default MSS.
+func ccUnderTest(t *testing.T, s Stack) CongestionControl {
 	t.Helper()
-	cfg := Config{Stack: s, MaxCwnd: maxCwnd}.withDefaults()
-	return newCongestionControl(cfg)
+	return newCongestionControl(Config{Stack: s}.withDefaults())
 }
 
 // senderStacks are the stacks that own a CongestionControl strategy (the
@@ -26,21 +25,17 @@ func senderStacks() []Stack {
 }
 
 // TestCCWindowBounds drives every strategy through a deterministic mix of
-// new ACKs, duplicate-ACK bursts, and timeouts, and asserts the two hard
-// window invariants after every event: at least one MSS, never above the
-// configured maximum.
+// new ACKs, duplicate-ACK bursts, and timeouts, and asserts the hard window
+// invariant after every event: a finite window of at least one MSS.
 func TestCCWindowBounds(t *testing.T) {
-	const (
-		mss     = 1460
-		maxCwnd = 50_000
-	)
+	const mss = 1460
 	for _, s := range senderStacks() {
 		t.Run(s.String(), func(t *testing.T) {
-			cc := ccUnderTest(t, s, maxCwnd)
+			cc := ccUnderTest(t, s)
 			check := func(when string, now Micros) {
-				if w := cc.Cwnd(); w < float64(mss) || w > float64(maxCwnd) {
-					t.Fatalf("%s cwnd = %.0f at t=%d after %s, want within [%d, %d]",
-						s, w, now, when, mss, maxCwnd)
+				if w := cc.Cwnd(); math.IsNaN(w) || math.IsInf(w, 0) || w < float64(mss) {
+					t.Fatalf("%s cwnd = %.0f at t=%d after %s, want finite and at least %d",
+						s, w, now, when, mss)
 				}
 			}
 			now := Micros(1000)
@@ -80,7 +75,7 @@ func TestCCSlowStartMonotone(t *testing.T) {
 	const mss = 1460
 	for _, s := range []Stack{StackReno, StackCubic, StackSACK} {
 		t.Run(s.String(), func(t *testing.T) {
-			cc := ccUnderTest(t, s, 0)
+			cc := ccUnderTest(t, s)
 			now := Micros(0)
 			prev := cc.Cwnd()
 			for i := 0; i < 5000; i++ {
@@ -105,11 +100,12 @@ func TestCCSlowStartMonotone(t *testing.T) {
 // constant factor of Reno (√α ≈ 0.73 asymptotically, RFC 8312 §4.2).
 func TestCubicConvergesToRenoTinyRTT(t *testing.T) {
 	const mss = 1460
-	// Start both in congestion avoidance: ssthresh below the initial window.
-	cfg := Config{InitialSsthresh: 1, MSS: mss}.withDefaults()
+	cfg := Config{MSS: mss}.withDefaults()
 	reno, cubic := &renoCC{}, &cubicCC{}
 	reno.Init(cfg)
 	cubic.Init(cfg)
+	// Start both in congestion avoidance: ssthresh below the initial window.
+	reno.ssthresh, cubic.ssthresh = 1, 1
 
 	now := Micros(0)
 	for i := 0; i < 4000; i++ {
@@ -132,7 +128,7 @@ func TestCCLossResponse(t *testing.T) {
 	const mss = 1460
 	for _, s := range senderStacks() {
 		t.Run(s.String(), func(t *testing.T) {
-			cc := ccUnderTest(t, s, 0)
+			cc := ccUnderTest(t, s)
 			// Grow out of the initial window first.
 			now := Micros(0)
 			for i := 0; i < 200; i++ {

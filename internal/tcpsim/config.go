@@ -26,6 +26,19 @@ import (
 // Micros aliases the simulator time unit.
 type Micros = sim.Micros
 
+// TCP parameters every endpoint shares: the initial congestion window (in
+// segments) and slow-start threshold (in bytes), the clamp on the
+// retransmission timeout (1 s per RFC 6298 — anything below the 200 ms
+// delayed-ACK timer provokes spurious retransmissions — and 60 s), and the
+// delayed-ACK timer.
+const (
+	initialCwnd              = 2
+	initialSsthresh          = 65535
+	minRTO            Micros = 1_000_000
+	maxRTO            Micros = 60_000_000
+	delayedAckTimeout Micros = 200_000
+)
+
 // Config holds per-endpoint TCP parameters. NewEndpoint applies defaults for
 // zero fields.
 type Config struct {
@@ -43,30 +56,11 @@ type Config struct {
 	// send buffer back-pressures the application, which is what couples
 	// peer-group members together in bgpsim.
 	SendBuf int
-	// InitialCwnd is the initial congestion window in segments (default 2).
-	InitialCwnd int
-	// InitialSsthresh is the initial slow-start threshold in bytes
-	// (default 65535).
-	InitialSsthresh int
 
-	// MinRTO and MaxRTO clamp the retransmission timeout (defaults 1 s per
-	// RFC 6298 — anything below the 200 ms delayed-ACK timer provokes
-	// spurious retransmissions — and 60 s).
-	MinRTO Micros
-	MaxRTO Micros
 	// RTOBackoff is the timeout multiplier applied per consecutive
 	// retransmission (default 2.0). RouteViews-style aggressive backoff is
 	// modeled with larger values.
 	RTOBackoff float64
-
-	// DelayedAckTimeout is the delayed-ACK timer (default 200 ms;
-	// 0 keeps the default, use DisableDelayedAck to ack every segment).
-	DelayedAckTimeout Micros
-	// DisableDelayedAck forces an ACK for every received segment.
-	DisableDelayedAck bool
-
-	// NoDelay disables Nagle coalescing of sub-MSS segments.
-	NoDelay bool
 
 	// ZeroWindowProbeBug enables the router bug from paper §IV-B: when an
 	// ACK reopens the window before a pending zero-window probe is
@@ -79,8 +73,6 @@ type Config struct {
 	// zero value is Reno; ApplyStack is the usual way to set it together
 	// with the matching receiver quirks.
 	Stack Stack
-	// MaxCwnd caps the congestion window in bytes (0 = unbounded).
-	MaxCwnd int
 	// SACK offers selective acknowledgments on the SYN and, when the peer
 	// offers too, generates SACK blocks (receiver) and repairs from a
 	// scoreboard (sender, with Stack == StackSACK).
@@ -107,23 +99,8 @@ func (c Config) withDefaults() Config {
 	if c.SendBuf == 0 {
 		c.SendBuf = 65536
 	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 2
-	}
-	if c.InitialSsthresh == 0 {
-		c.InitialSsthresh = 65535
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 1_000_000
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * 1000 * 1000
-	}
 	if c.RTOBackoff == 0 {
 		c.RTOBackoff = 2.0
-	}
-	if c.DelayedAckTimeout == 0 {
-		c.DelayedAckTimeout = 200 * 1000
 	}
 	return c
 }

@@ -10,7 +10,6 @@ import "math"
 // gentler β = 0.7 multiplicative decrease instead of Reno's halving.
 type cubicCC struct {
 	cwnd, ssthresh float64
-	maxCwnd        float64
 	inRecovery     bool
 
 	wMax       float64 // window before the last reduction
@@ -33,9 +32,8 @@ func (c *cubicCC) Name() string { return "cubic" }
 
 // Init implements CongestionControl.
 func (c *cubicCC) Init(cfg Config) {
-	c.cwnd = float64(cfg.InitialCwnd * cfg.MSS)
-	c.ssthresh = float64(cfg.InitialSsthresh)
-	c.maxCwnd = float64(cfg.MaxCwnd)
+	c.cwnd = float64(initialCwnd * cfg.MSS)
+	c.ssthresh = initialSsthresh
 }
 
 // Cwnd implements CongestionControl.
@@ -43,12 +41,6 @@ func (c *cubicCC) Cwnd() float64 { return c.cwnd }
 
 // InRecovery implements CongestionControl.
 func (c *cubicCC) InRecovery() bool { return c.inRecovery }
-
-func (c *cubicCC) clamp() {
-	if c.maxCwnd > 0 && c.cwnd > c.maxCwnd {
-		c.cwnd = c.maxCwnd
-	}
-}
 
 // OnAck implements CongestionControl.
 func (c *cubicCC) OnAck(ev AckInfo) {
@@ -64,7 +56,6 @@ func (c *cubicCC) OnAck(ev AckInfo) {
 	}
 	if c.cwnd < c.ssthresh {
 		c.cwnd += credit // slow start, same as Reno
-		c.clamp()
 		return
 	}
 	if c.epochStart == 0 {
@@ -90,7 +81,6 @@ func (c *cubicCC) OnAck(ev AckInfo) {
 	if c.wEst > c.cwnd {
 		c.cwnd = c.wEst
 	}
-	c.clamp()
 }
 
 // OnDupAck implements CongestionControl.
@@ -103,11 +93,9 @@ func (c *cubicCC) OnDupAck(ev AckInfo) Reaction {
 		c.cwnd = c.ssthresh
 		c.inRecovery = true
 		c.epochStart = 0
-		c.clamp()
 		return ReactFastRetransmit
 	case ev.DupAcks > 3 && c.inRecovery:
 		c.cwnd += mss
-		c.clamp()
 	}
 	return ReactNone
 }

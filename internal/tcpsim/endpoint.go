@@ -157,10 +157,7 @@ func (e *Endpoint) Connect(addr netip.Addr, port uint16) {
 	e.iss = uint32(e.eng.Rand().Intn(1 << 30))
 	e.state = StateSynSent
 	e.synSentAt = e.eng.Now()
-	e.rtoBase = e.cfg.MinRTO * 5 // conservative pre-estimate for SYN
-	if e.rtoBase < 1_000_000 {
-		e.rtoBase = 1_000_000
-	}
+	e.rtoBase = 5 * minRTO // conservative pre-estimate for SYN
 	e.sendSyn(false)
 	e.armRTO()
 }

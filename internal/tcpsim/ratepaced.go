@@ -10,8 +10,7 @@ package tcpsim
 // model-driven rather than halved, which is exactly the behavior that
 // undermines loss-centric delay inference.
 type ratePacedCC struct {
-	cwnd    float64
-	maxCwnd float64
+	cwnd float64
 
 	bw       [8]float64 // delivery-rate samples, bytes/second
 	bwIdx    int
@@ -31,8 +30,7 @@ func (p *ratePacedCC) Name() string { return "rate-paced" }
 
 // Init implements CongestionControl.
 func (p *ratePacedCC) Init(cfg Config) {
-	p.cwnd = float64(cfg.InitialCwnd * cfg.MSS)
-	p.maxCwnd = float64(cfg.MaxCwnd)
+	p.cwnd = float64(initialCwnd * cfg.MSS)
 }
 
 // Cwnd implements CongestionControl.
@@ -40,12 +38,6 @@ func (p *ratePacedCC) Cwnd() float64 { return p.cwnd }
 
 // InRecovery implements CongestionControl: the model has no recovery state.
 func (p *ratePacedCC) InRecovery() bool { return false }
-
-func (p *ratePacedCC) clamp() {
-	if p.maxCwnd > 0 && p.cwnd > p.maxCwnd {
-		p.cwnd = p.maxCwnd
-	}
-}
 
 // btlBw returns the max-filtered bandwidth estimate in bytes/second.
 func (p *ratePacedCC) btlBw() float64 {
@@ -77,7 +69,6 @@ func (p *ratePacedCC) OnAck(ev AckInfo) {
 	} else {
 		p.cwnd += float64(ev.Acked) // startup: double per RTT like slow start
 	}
-	p.clamp()
 }
 
 // OnDupAck implements CongestionControl: retransmit on the third duplicate

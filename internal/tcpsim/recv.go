@@ -140,10 +140,6 @@ func (e *Endpoint) integrateOOO() {
 // acknowledging only every Nth segment and starving the sender's ACK clock
 // between the delayed-ACK timer firings.
 func (e *Endpoint) scheduleAck() {
-	if e.cfg.DisableDelayedAck {
-		e.sendAck()
-		return
-	}
 	ackEvery := 2
 	if e.cfg.StretchAcks >= 2 {
 		ackEvery = e.cfg.StretchAcks
@@ -154,7 +150,7 @@ func (e *Endpoint) scheduleAck() {
 		return
 	}
 	if !e.delack.Active() {
-		e.delack = e.eng.After(e.cfg.DelayedAckTimeout, func() {
+		e.delack = e.eng.After(delayedAckTimeout, func() {
 			if e.pendingAck > 0 {
 				e.sendAck()
 			}

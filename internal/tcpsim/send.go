@@ -36,7 +36,7 @@ func (e *Endpoint) trySend() {
 		// segments caused by the application dribbling small writes (BGP
 		// updates are ~60–130 bytes); they coalesce into full segments on
 		// the next ACK or write.
-		if !e.cfg.NoDelay && int(seg) < e.cfg.MSS && rem(dataEnd, e.sndNxt) < int64(e.cfg.MSS) &&
+		if int(seg) < e.cfg.MSS && rem(dataEnd, e.sndNxt) < int64(e.cfg.MSS) &&
 			e.sndNxt > e.sndUna {
 			break
 		}
@@ -295,11 +295,11 @@ func (e *Endpoint) currentRTO() Micros {
 	}
 	for i := 0; i < e.rtoShift; i++ {
 		rto = Micros(float64(rto) * e.cfg.RTOBackoff)
-		if rto >= e.cfg.MaxRTO {
-			return e.cfg.MaxRTO
+		if rto >= maxRTO {
+			return maxRTO
 		}
 	}
-	return clampMicros(rto, e.cfg.MinRTO, e.cfg.MaxRTO)
+	return clampMicros(rto, minRTO, maxRTO)
 }
 
 func (e *Endpoint) armRTO() {
@@ -365,7 +365,7 @@ func (e *Endpoint) onPersist() {
 	e.stats.ProbesSent++
 	start := e.sndNxt - e.sndUna
 	e.emit(packet.FlagACK, e.wireSeq(e.sndNxt), e.wireAck(), e.sndBuf[start:start+1], false)
-	e.persistBackoff = clampMicros(e.persistBackoff*2, e.cfg.MinRTO, e.cfg.MaxRTO)
+	e.persistBackoff = clampMicros(e.persistBackoff*2, minRTO, maxRTO)
 	e.persistTimer = e.eng.After(e.persistBackoff, e.onPersist)
 }
 
@@ -387,7 +387,7 @@ func (e *Endpoint) rttSampleRaw(sample Micros) {
 		e.rttvar = 0.75*e.rttvar + 0.25*diff
 		e.srtt = 0.875*e.srtt + 0.125*r
 	}
-	e.rtoBase = clampMicros(Micros(e.srtt+maxf(1000, 4*e.rttvar)), e.cfg.MinRTO, e.cfg.MaxRTO)
+	e.rtoBase = clampMicros(Micros(e.srtt+maxf(1000, 4*e.rttvar)), minRTO, maxRTO)
 }
 
 func maxf(a, b float64) float64 {

@@ -594,28 +594,6 @@ func TestNagleCoalescesSmallWrites(t *testing.T) {
 	}
 }
 
-func TestNoDelayDisablesNagle(t *testing.T) {
-	p := newPair(t, 34, Config{NoDelay: true}, Config{}, defaultPath())
-	var got bytes.Buffer
-	p.sinkServer(&got)
-	p.connect(t)
-	var segs int
-	orig := p.client.out
-	p.client.out = func(pk *packet.Packet) {
-		if len(pk.Payload) > 0 {
-			segs++
-		}
-		orig(pk)
-	}
-	for i := 0; i < 20; i++ {
-		p.client.Write(make([]byte, 100))
-	}
-	p.eng.RunAll(0)
-	if segs < 15 {
-		t.Errorf("NoDelay sent only %d segments for 20 writes", segs)
-	}
-}
-
 func TestPartialAckDuringRecovery(t *testing.T) {
 	// Drop two separate segments in one window: after the fast retransmit,
 	// the partial ACK exits classic-Reno recovery and the stream still
@@ -656,7 +634,8 @@ func TestCongestionAvoidanceSlowerThanSlowStart(t *testing.T) {
 	// With ssthresh below cwnd growth range, congestion avoidance must grow
 	// cwnd far slower than slow start does.
 	growth := func(ssthresh int) int {
-		p := newPair(t, 36, Config{InitialSsthresh: ssthresh}, Config{}, defaultPath())
+		p := newPair(t, 36, Config{}, Config{}, defaultPath())
+		p.client.cc.(*renoCC).ssthresh = float64(ssthresh)
 		var got bytes.Buffer
 		p.sinkServer(&got)
 		p.connect(t)

@@ -117,7 +117,7 @@ func ISPAVendor(transfers, routers int, seed int64) DatasetProfile {
 			{0.06, Scenario{Kind: KindSmallWindow, RecvBuf: 65535}},
 			{0.03, Scenario{Kind: KindUpstreamLoss, LossRate: 0.04}},
 			{0.015, Scenario{Kind: KindDownstreamLoss, LossRate: 0.04}},
-			{0.015, Scenario{Kind: KindDownstreamLoss, LossEpisode: timerange.R(300_000, 1_500_000)}},
+			{0.015, Scenario{Kind: KindDownstreamLoss, LossEpisodes: []timerange.Range{timerange.R(300_000, 1_500_000)}}},
 			{0.008, Scenario{Kind: KindZeroAckBug}},
 			{0.002, Scenario{Kind: KindBandwidth}},
 		},
@@ -139,7 +139,7 @@ func ISPAQuagga(transfers, routers int, seed int64) DatasetProfile {
 			{0.08, Scenario{Kind: KindSmallWindow, RecvBuf: 65535}},
 			{0.02, Scenario{Kind: KindUpstreamLoss, LossRate: 0.04}},
 			{0.015, Scenario{Kind: KindDownstreamLoss, LossRate: 0.03}},
-			{0.015, Scenario{Kind: KindUpstreamLoss, LossEpisode: timerange.R(300_000, 1_500_000)}},
+			{0.015, Scenario{Kind: KindUpstreamLoss, LossEpisodes: []timerange.Range{timerange.R(300_000, 1_500_000)}}},
 			{0.01, Scenario{Kind: KindBandwidth}},
 		},
 	}
@@ -158,7 +158,7 @@ func RouteViews(transfers, routers int, seed int64) DatasetProfile {
 			{0.26, Scenario{Kind: KindClean}},
 			{0.26, Scenario{Kind: KindSmallWindow, RecvBuf: 16384}},
 			{0.10, Scenario{Kind: KindUpstreamLoss, LossRate: 0.06}},
-			{0.04, Scenario{Kind: KindUpstreamLoss, LossEpisode: timerange.R(300_000, 2_000_000)}},
+			{0.04, Scenario{Kind: KindUpstreamLoss, LossEpisodes: []timerange.Range{timerange.R(300_000, 2_000_000)}}},
 			{0.06, Scenario{Kind: KindDownstreamLoss, LossRate: 0.05}},
 		},
 	}
@@ -194,7 +194,7 @@ func RunPeerGroup(seed int64, members, routes int, killAt, hold Micros) *PeerGro
 		PacingInterval:    50_000,
 		PacingBudget:      6,
 	})
-	speaker.Table = Table(eng.Rand(), routes, 4)
+	speaker.Table = Table(eng.Rand(), routes)
 	group := speaker.NewPeerGroup()
 
 	conns := make([]*bgpsim.Conn, members)
@@ -210,11 +210,7 @@ func RunPeerGroup(seed int64, members, routes int, killAt, hold Micros) *PeerGro
 			},
 		}, 7018)
 		speaker.AddSession(conns[i].RouterPeer, group)
-		cfg := bgpsim.CollectorConfig{}
-		if i == members-1 {
-			cfg.Kind = bgpsim.KindVendor
-		}
-		sessions[i] = bgpsim.NewCollectorHost(eng, cfg).AddSession(conns[i].CollectorPeer, 7018)
+		sessions[i] = bgpsim.NewCollectorHost(eng, bgpsim.CollectorConfig{}).AddSession(conns[i].CollectorPeer, 7018)
 	}
 
 	res := &PeerGroupResult{KillAt: killAt}
@@ -267,7 +263,7 @@ func RunIncast(seed int64, n, routes int, sharedQueue int, collectorRate int64) 
 	wires := make([]wire, 0, n)
 	for i := 0; i < n; i++ {
 		w := buildIncastConn(eng, i, collAddr, shared, eps)
-		table := Table(eng.Rand(), routes, 4)
+		table := Table(eng.Rand(), routes)
 		speaker := bgpsim.NewSpeaker(eng, bgpsim.SpeakerConfig{AS: uint16(100 + i)})
 		speaker.Table = table
 		speaker.AddSession(w.routerPeer, nil)
@@ -329,7 +325,7 @@ func buildIncastConn(eng *sim.Engine, i int, collAddr netip.Addr, shared *netem.
 func RunWithReset(sc Scenario, resetAt Micros) *Trace {
 	sc = sc.withDefaults()
 	eng := sim.New(0, sc.Seed)
-	table := Table(eng.Rand(), sc.Routes, sc.RoutesPerGroup)
+	table := Table(eng.Rand(), sc.Routes)
 	spec := observedSpec(sc, netip.MustParseAddr("10.0.0.2"))
 
 	// Rebindable endpoints behind stable handlers, so both connection

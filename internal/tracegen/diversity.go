@@ -40,20 +40,21 @@ func bimodalProfile(seed int64) *bgpsim.AppProfile {
 
 // addReplicas dials the unobserved members 1..GroupMembers-1 of a
 // KindFanout peer group, each over the observed member's spec. Member 0,
-// the observed connection, stalls on the group slack bound behind the
-// first SlowMembers replicas, which read at CollectorRate; the rest share
-// one unthrottled host. That is the route-server-scale amplification of
-// paper §II-B3. The observed member's archive completes only once the
-// whole group is within slack of done, so it alone decides when a run
-// ends.
+// the observed connection, stalls on the group slack bound behind member
+// 1, which reads at CollectorRate; the rest share one unthrottled host.
+// That is the route-server-scale amplification of paper §II-B3. One slow
+// member is enough: further throttled members would read in lockstep with
+// it and hold the group back no longer. The observed member's archive
+// completes only once the whole group is within slack of done, so it alone
+// decides when a run ends.
 func addReplicas(eng *sim.Engine, sc Scenario, speaker *bgpsim.Speaker, group *bgpsim.PeerGroup) {
 	fastHost := bgpsim.NewCollectorHost(eng, bgpsim.CollectorConfig{})
 	for i := 1; i < sc.GroupMembers; i++ {
 		spec := observedSpec(sc, netip.AddrFrom4([4]byte{10, 0, byte(2 + i>>8), byte(i)}))
 		h := fastHost
-		if i <= sc.SlowMembers {
-			// Slow members pair a throttled reader with tight socket buffers:
-			// a member's cursor only stalls once it has written
+		if i == 1 {
+			// The slow member pairs a throttled reader with tight socket
+			// buffers: a member's cursor only stalls once it has written
 			// SendBuf+RecvBuf plus whatever the app drained, so with default
 			// 64 KB buffers a small table fits entirely in flight and the
 			// slack bound never binds. Tight buffers push the app bottleneck

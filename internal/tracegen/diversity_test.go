@@ -119,7 +119,7 @@ func TestBurstLossScenario(t *testing.T) {
 // observed member on the slack bound, the transfer still completes, and
 // the run reproduces per seed.
 func TestFanoutScenario(t *testing.T) {
-	sc := Scenario{Kind: KindFanout, Seed: 7, Routes: 1200, GroupMembers: 24, SlowMembers: 2}
+	sc := Scenario{Kind: KindFanout, Seed: 7, Routes: 1200, GroupMembers: 24}
 	tr := runTwice(t, sc)
 	if tr.RoutesDelivered != 1200 {
 		t.Fatalf("delivered %d of 1200 routes", tr.RoutesDelivered)

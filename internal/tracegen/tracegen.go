@@ -29,13 +29,14 @@ import (
 // Micros aliases the simulator time unit.
 type Micros = sim.Micros
 
+// routesPerGroup is how many consecutive routes of a synthesized table
+// share one attribute set, and so pack into one UPDATE.
+const routesPerGroup = 4
+
 // Table synthesizes a routing table of n routes with one shared attribute
 // set per routesPerGroup consecutive routes; AS-path lengths follow the
 // short-tailed distribution of real tables (2–7 hops).
-func Table(rnd *rand.Rand, n, routesPerGroup int) []bgp.Route {
-	if routesPerGroup <= 0 {
-		routesPerGroup = 4
-	}
+func Table(rnd *rand.Rand, n int) []bgp.Route {
 	routes := make([]bgp.Route, 0, n)
 	var attrs *bgp.PathAttrs
 	for i := 0; i < n; i++ {
@@ -108,7 +109,7 @@ const (
 	KindVaryingRate
 	// KindFanout replicates the transfer to a route-server-scale peer
 	// group; the observed member stalls on the slack bound behind the
-	// group's slowest collectors.
+	// group's one slow collector.
 	KindFanout
 )
 
@@ -141,8 +142,6 @@ type Scenario struct {
 	Kind   Kind
 	Seed   int64
 	Routes int
-	// RoutesPerGroup controls update packing granularity (default 4).
-	RoutesPerGroup int
 	// PacingTimer/PacingBudget configure KindPaced (default 200 ms / 24).
 	PacingTimer  Micros
 	PacingBudget int
@@ -152,10 +151,8 @@ type Scenario struct {
 	RecvBuf int
 	// LossRate configures the loss kinds (default 0.05).
 	LossRate float64
-	// LossEpisode optionally scripts a loss window instead of i.i.d. loss.
-	LossEpisode timerange.Range
-	// LossEpisodes adds further scripted loss windows (a flapping link);
-	// combined with LossEpisode when both are set.
+	// LossEpisodes optionally scripts loss windows (one faulty period, or
+	// a flapping link) instead of i.i.d. loss.
 	LossEpisodes []timerange.Range
 	// UpstreamRate configures KindBandwidth in bytes/sec (default 40k).
 	UpstreamRate int64
@@ -185,27 +182,11 @@ type Scenario struct {
 	// GroupSlack is the fanout peer-group slack bound in updates
 	// (default 64).
 	GroupSlack int
-	// SlowMembers is how many unobserved fanout members run throttled
-	// collectors (rate CollectorRate each), making the slack bound bind
-	// (default max(1, GroupMembers/32)).
-	SlowMembers int
-}
-
-// lossWindows collects every scripted loss window of the scenario.
-func (s Scenario) lossWindows() []timerange.Range {
-	var out []timerange.Range
-	if !s.LossEpisode.Empty() {
-		out = append(out, s.LossEpisode)
-	}
-	return append(out, s.LossEpisodes...)
 }
 
 func (s Scenario) withDefaults() Scenario {
 	if s.Routes == 0 {
 		s.Routes = 12_000
-	}
-	if s.RoutesPerGroup == 0 {
-		s.RoutesPerGroup = 4
 	}
 	if s.PacingTimer == 0 {
 		s.PacingTimer = 200_000
@@ -242,12 +223,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.GroupSlack == 0 {
 		s.GroupSlack = 64
-	}
-	if s.SlowMembers == 0 {
-		s.SlowMembers = s.GroupMembers / 32
-		if s.SlowMembers < 1 {
-			s.SlowMembers = 1
-		}
 	}
 	return s
 }
@@ -349,7 +324,7 @@ func Run(sc Scenario) *Trace { return runScenario(sc, 0, 0) }
 func runScenario(sc Scenario, rtoBackoff float64, collectorBuf int) *Trace {
 	sc = sc.withDefaults()
 	eng := sim.New(0, sc.Seed)
-	table := Table(eng.Rand(), sc.Routes, sc.RoutesPerGroup)
+	table := Table(eng.Rand(), sc.Routes)
 
 	spec := observedSpec(sc, netip.MustParseAddr("10.0.0.2"))
 	scfg := bgpsim.SpeakerConfig{AS: 7018}
@@ -372,8 +347,8 @@ func runScenario(sc Scenario, rtoBackoff float64, collectorBuf int) *Trace {
 		switch {
 		case sc.BurstLoss != nil:
 			spec.Path.UpstreamHook = netem.GilbertElliott(sc.Seed+7, *sc.BurstLoss)
-		case len(sc.lossWindows()) > 0:
-			spec.Path.UpstreamHook = netem.LossEpisodes(sc.lossWindows()...)
+		case len(sc.LossEpisodes) > 0:
+			spec.Path.UpstreamHook = netem.LossEpisodes(sc.LossEpisodes...)
 		default:
 			spec.Path.UpstreamLoss = sc.LossRate
 		}
@@ -381,8 +356,8 @@ func runScenario(sc Scenario, rtoBackoff float64, collectorBuf int) *Trace {
 		switch {
 		case sc.BurstLoss != nil:
 			spec.Path.DownstreamHook = netem.GilbertElliott(sc.Seed+9, *sc.BurstLoss)
-		case len(sc.lossWindows()) > 0:
-			spec.Path.DownstreamHook = netem.LossEpisodes(sc.lossWindows()...)
+		case len(sc.LossEpisodes) > 0:
+			spec.Path.DownstreamHook = netem.LossEpisodes(sc.LossEpisodes...)
 		default:
 			spec.Path.DownstreamLoss = sc.LossRate
 		}
@@ -523,7 +498,7 @@ type ChurnTrace struct {
 func RunChurn(sc Scenario, idleAfter Micros, churnFrac float64) *ChurnTrace {
 	sc = sc.withDefaults()
 	eng := sim.New(0, sc.Seed)
-	table := Table(eng.Rand(), sc.Routes, sc.RoutesPerGroup)
+	table := Table(eng.Rand(), sc.Routes)
 
 	spec := observedSpec(sc, netip.MustParseAddr("10.0.0.2"))
 	scfg := bgpsim.SpeakerConfig{AS: 7018}

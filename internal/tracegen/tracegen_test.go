@@ -16,7 +16,7 @@ import (
 
 func TestTableProperties(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
-	table := Table(rnd, 1000, 4)
+	table := Table(rnd, 1000)
 	if len(table) != 1000 {
 		t.Fatalf("table size = %d", len(table))
 	}
@@ -45,8 +45,8 @@ func TestTableProperties(t *testing.T) {
 }
 
 func TestTableDeterministic(t *testing.T) {
-	a := Table(rand.New(rand.NewSource(5)), 100, 4)
-	b := Table(rand.New(rand.NewSource(5)), 100, 4)
+	a := Table(rand.New(rand.NewSource(5)), 100)
+	b := Table(rand.New(rand.NewSource(5)), 100)
 	for i := range a {
 		if a[i].Prefix != b[i].Prefix || a[i].Attrs.Key() != b[i].Attrs.Key() {
 			t.Fatal("same seed produced different tables")
